@@ -1,22 +1,23 @@
-"""Divergent-prefix serving: token-level trie vs whole-page chain walk.
+"""Divergent-prefix serving: token-level trie vs cold start.
 
-The workload the page-granular prefix cache cannot touch: groups of
+The workload a page-granular prefix cache cannot touch: groups of
 prompts that share most — but not all — of their first page (here 28 of
 a 32-token page, the scaled-down version of the paper's 120-of-128
-scenario).  The chain walk hashes whole pages, so every member re-encodes
-everything; the trie matches token-level, splits the cached page at the
-divergence point (a bit-exact block slice, no re-encode) and every
-follower attaches the shared 28-token head.
+scenario).  Whole-page matching shares nothing here, so its numbers are
+exactly a cold start's (``prefix_reuse=False``, the baseline arm): every
+member re-encodes everything.  The trie matches token-level, splits the
+cached page at the divergence point (a bit-exact block slice, no
+re-encode) and every follower attaches the shared 28-token head.
 
 Group members arrive in waves (the engine drains between waves) so each
 group's leader page is demoted into the prefix cache before the
 followers look it up.  Both engines charge a synchronous StepCostModel
 on a virtual clock, so follower TTFTs are deterministic and contain
-their own prefill cost: the trie's followers forward 12 tokens where the
-chain walk forwards 40.
+their own prefill cost: the trie's followers forward 12 tokens where a
+cold start forwards 40.
 
-Acceptance (ISSUE 6): trie-on reports ``prefix_tokens_reused > 0`` where
-the chain walk reports 0, cuts re-encoded (forwarded) prompt tokens at
+Acceptance (ISSUE 6): the trie reports ``prefix_tokens_reused > 0`` where
+the cold arm reports 0, cuts re-encoded (forwarded) prompt tokens at
 least 2x, and every follower's decoded KV is bit-exact against a
 reuse-aware reference built from the recorded raw K/V of whichever
 request actually encoded each span.
@@ -60,7 +61,7 @@ def _prompts(spec):
     return groups
 
 
-def _run(model, calib, groups, prefix_trie, record):
+def _run(model, calib, groups, prefix_reuse, record):
     clock = VirtualClock()
     engine = ServingEngine(
         model,
@@ -69,8 +70,7 @@ def _run(model, calib, groups, prefix_trie, record):
         byte_budget=BYTE_BUDGET,
         page_tokens=PAGE_TOKENS,
         max_batch_size=GROUPS,
-        prefix_reuse=True,
-        prefix_trie=prefix_trie,
+        prefix_reuse=prefix_reuse,
         step_cost=StepCostModel(),
         record_reference=record,
         clock=clock,
@@ -91,8 +91,8 @@ def _run(model, calib, groups, prefix_trie, record):
 def trie_runs(proxy_small, calib_small):
     groups = _prompts(proxy_small.spec)
     trie = _run(proxy_small.model, calib_small, groups, True, record=True)
-    walk = _run(proxy_small.model, calib_small, groups, False, record=False)
-    return {"groups": groups, "trie": trie, "walk": walk}
+    cold = _run(proxy_small.model, calib_small, groups, False, record=False)
+    return {"groups": groups, "trie": trie, "cold": cold}
 
 
 def _followers(requests):
@@ -109,19 +109,19 @@ def _ttft_mean(requests):
     return float(np.mean([r.metrics.ttft_s for r in requests]))
 
 
-def test_trie_reuses_where_chain_walk_cannot(trie_runs):
+def test_trie_reuses_where_cold_start_cannot(trie_runs):
     """Acceptance: reuse > 0 vs 0, and ≥ 2x fewer re-encoded tokens."""
     trie_engine, trie_requests, trie_clock = trie_runs["trie"]
-    walk_engine, walk_requests, walk_clock = trie_runs["walk"]
+    cold_engine, cold_requests, cold_clock = trie_runs["cold"]
     trie_report = trie_engine.report(trie_clock())
-    walk_report = walk_engine.report(walk_clock())
+    cold_report = cold_engine.report(cold_clock())
     assert trie_report["pool"]["budget_overruns"] == 0
-    assert walk_report["pool"]["budget_overruns"] == 0
+    assert cold_report["pool"]["budget_overruns"] == 0
     assert trie_engine.pool.unreachable_cached_pages() == []
     assert trie_engine.pool.leaf_index_violations() == []
 
-    # The headline: the chain walk shares nothing on this workload.
-    assert walk_report["prefix_tokens_reused"] == 0
+    # The headline: without token-level matching nothing is shared.
+    assert cold_report["prefix_tokens_reused"] == 0
     followers = _followers(trie_requests)
     assert trie_report["prefix_tokens_reused"] >= SHARED_TOKENS * len(
         followers
@@ -133,15 +133,15 @@ def test_trie_reuses_where_chain_walk_cannot(trie_runs):
 
     # ≥ 2x fewer prompt tokens through the model.
     ratio = (
-        walk_report["prefill_forwarded_tokens"]
+        cold_report["prefill_forwarded_tokens"]
         / trie_report["prefill_forwarded_tokens"]
     )
     assert ratio >= 2.0
 
     # Deterministic TTFT: followers prefill 12 tokens instead of 40.
     ttft_trie = _ttft_mean(followers)
-    ttft_walk = _ttft_mean(_followers(walk_requests))
-    assert ttft_trie < ttft_walk
+    ttft_cold = _ttft_mean(_followers(cold_requests))
+    assert ttft_trie < ttft_cold
 
     data = {
         "workload": {
@@ -165,15 +165,15 @@ def test_trie_reuses_where_chain_walk_cannot(trie_runs):
             "ttft_s_mean_follower": ttft_trie,
             "pool": trie_report["pool"],
         },
-        "walk": {
-            "prefix_tokens_reused": walk_report["prefix_tokens_reused"],
-            "prefill_forwarded_tokens": walk_report[
+        "cold": {
+            "prefix_tokens_reused": cold_report["prefix_tokens_reused"],
+            "prefill_forwarded_tokens": cold_report[
                 "prefill_forwarded_tokens"
             ],
-            "ttft_s_mean_follower": ttft_walk,
+            "ttft_s_mean_follower": ttft_cold,
         },
         "forwarded_tokens_ratio": ratio,
-        "ttft_follower_speedup": ttft_walk / ttft_trie,
+        "ttft_follower_speedup": ttft_cold / ttft_trie,
     }
     write_report(
         "prefix_trie",
@@ -181,16 +181,16 @@ def test_trie_reuses_where_chain_walk_cannot(trie_runs):
             f"workload: {GROUPS} groups x {MEMBERS} members, "
             f"{SHARED_TOKENS}/{PAGE_TOKENS} tokens shared inside page 1",
             f"prefix tokens reused:  trie "
-            f"{trie_report['prefix_tokens_reused']}  chain-walk "
-            f"{walk_report['prefix_tokens_reused']}",
+            f"{trie_report['prefix_tokens_reused']}  cold "
+            f"{cold_report['prefix_tokens_reused']}",
             f"pages split:           {trie_report['pool']['pages_split']} "
             f"({trie_report['split_tokens_salvaged']} tokens salvaged)",
             f"forwarded tokens:      trie "
-            f"{trie_report['prefill_forwarded_tokens']}  chain-walk "
-            f"{walk_report['prefill_forwarded_tokens']}  ({ratio:.2f}x cut)",
+            f"{trie_report['prefill_forwarded_tokens']}  cold "
+            f"{cold_report['prefill_forwarded_tokens']}  ({ratio:.2f}x cut)",
             f"follower TTFT:         trie {ttft_trie * 1e3:.2f} ms  "
-            f"chain-walk {ttft_walk * 1e3:.2f} ms "
-            f"({ttft_walk / ttft_trie:.2f}x)",
+            f"cold {ttft_cold * 1e3:.2f} ms "
+            f"({ttft_cold / ttft_trie:.2f}x)",
             f"lookup outcomes:       "
             f"{trie_report['pool']['prefix_full_hits']} full, "
             f"{trie_report['pool']['prefix_partial_hits']} partial, "

@@ -51,7 +51,7 @@ def _traces(spec):
         # of a common system prompt is covered by the tier-0 tests.
         # The token-level trie could still salvage an accidental short
         # shared head across sessions, but the pool's cost-aware split
-        # floor (``split_min_tokens``, default 4) rejects it: with a
+        # floor (``split_min_tokens``, 4) rejects it: with a
         # 64-token vocab a 4-token cross-session collision has
         # probability ~64^-3 per pair — effectively never.
         system_pages=0,

@@ -115,7 +115,7 @@ def workload_runs(proxy_small, calib_small, trace_out):
     engines = [
         _engine(model, calib_small, clock, chunked=True) for _ in range(2)
     ]
-    cluster = ClusterRouter(engines, affinity_pages=1)
+    cluster = ClusterRouter(engines)
     replay = replay_trace(cluster, trace, clock, cost)
     runs["cluster"] = {
         "cluster": cluster,

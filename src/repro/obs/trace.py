@@ -2,7 +2,7 @@
 
 :class:`TraceRecorder` records OpenTelemetry-style events against the
 engine's clock (normally a deterministic
-:class:`~repro.serve.workload.VirtualClock`): *spans* with a start and a
+:class:`~repro.serve.clock.VirtualClock`): *spans* with a start and a
 duration (engine step phases, request lifecycle states), *instants*
 (first token, an eviction, a retry) and *counter* samples (queue depth,
 resident bytes).  Every serve-layer component takes an optional

@@ -17,6 +17,7 @@ fairness, SLO-aware admission via pluggable scheduling policies from
 ``repro.serve.workload``).
 """
 
+from .clock import StepCostModel, VirtualClock
 from .cluster import ClusterRouter
 from .engine import ServingEngine
 from .frontend import (
@@ -49,9 +50,7 @@ from .workload import (
     SessionTrace,
     SessionTurn,
     SessionWorkloadConfig,
-    StepCostModel,
     TraceRequest,
-    VirtualClock,
     WorkloadConfig,
     bursty_arrivals,
     diurnal_arrivals,

@@ -3,13 +3,13 @@
 :class:`ClusterRouter` owns a set of independent
 :class:`~repro.serve.engine.ServingEngine` replicas and places every
 incoming request with **prefix-affinity + least-active-bytes** routing:
-the first pages of the prompt hash to the replica that last served that
+the first page of the prompt hashes to the replica that last served that
 prefix (so its prefix cache — shared system prompts, agent-loop
 contexts — actually gets hit), falling back to the replica with the
 fewest committed-plus-queued KV bytes, and overriding affinity when the
-sticky replica is more loaded than the lightest one by more than
-``imbalance_factor`` (bounded stickiness: a hot prefix cannot melt one
-replica while others idle).
+sticky replica is more than ``imbalance_factor`` times as loaded as the
+lightest one (bounded stickiness: a hot prefix cannot melt one replica
+while others idle).
 
 ``step()`` advances every replica one scheduler iteration and
 ``report()`` aggregates the per-replica :class:`EngineMetrics`
@@ -36,12 +36,14 @@ __all__ = ["ClusterRouter"]
 class ClusterRouter:
     """Prefix-affinity + least-loaded routing over engine replicas."""
 
+    #: Stickiness bound: affinity is overridden once the sticky replica
+    #: carries more than this multiple of the lightest replica's load.
+    imbalance_factor = 2.0
+
     def __init__(
         self,
         engines: list[ServingEngine],
         *,
-        affinity_pages: int = 1,
-        imbalance_factor: float = 2.0,
         seed: int | None = None,
     ):
         if not engines:
@@ -57,14 +59,8 @@ class ClusterRouter:
             raise ValueError(
                 f"replicas disagree on page_tokens: {sorted(page_tokens)}"
             )
-        if affinity_pages < 1:
-            raise ValueError("affinity_pages must be >= 1")
-        if imbalance_factor < 1.0:
-            raise ValueError("imbalance_factor must be >= 1.0")
         self.engines = list(engines)
         self.page_tokens = page_tokens.pop()
-        self.affinity_pages = int(affinity_pages)
-        self.imbalance_factor = float(imbalance_factor)
         #: Tie-breaking between equally-loaded replicas: without a seed
         #: the lowest index wins (stable but biased toward replica 0);
         #: with one, ties are broken by a seeded rng — deterministic
@@ -116,17 +112,11 @@ class ClusterRouter:
     # Routing.
     # ------------------------------------------------------------------
     def _prefix_key(self, prompt: np.ndarray) -> str | None:
-        """The page hash chain of the prompt's first ``affinity_pages``
-        pages — the identity prefix sharing keys on — or ``None`` for a
-        sub-page prompt."""
-        P = self.page_tokens
-        pages = min(self.affinity_pages, len(prompt) // P)
-        if pages == 0:
+        """The chain hash of the prompt's first page — the identity
+        prefix sharing keys on — or ``None`` for a sub-page prompt."""
+        if len(prompt) < self.page_tokens:
             return None
-        chain = ROOT_CHAIN
-        for j in range(pages):
-            chain = chain_hash(chain, prompt[j * P : (j + 1) * P])
-        return chain
+        return chain_hash(ROOT_CHAIN, prompt[: self.page_tokens])
 
     def _load(self, index: int) -> int:
         """Committed + queued KV bytes on one replica: what its pool
@@ -304,21 +294,19 @@ class ClusterRouter:
         )
         return request
 
-    def submit_batch(
-        self, submissions: list[dict], dedup_min_tokens: int | None = None
-    ) -> list[Request]:
+    def submit_batch(self, submissions: list[dict]) -> list[Request]:
         """Place a batch with a pre-flight prefix-dedup pass.
 
         Each submission is a dict of :meth:`submit` keyword arguments
         (``prompt`` required).  Submissions whose prompts share at least
-        ``dedup_min_tokens`` leading tokens (default: one page) are
-        grouped and the whole group lands on one replica — the one whose
-        pool already holds the longest piece of the shared prefix (a
-        cheap trie probe, no references taken), falling back to the
-        least-loaded replica for a prefix no pool holds yet.  Per-replica
-        routing would otherwise scatter the group and every replica would
-        encode the shared prefix once each; grouped, one member encodes
-        it and the rest attach it from the prefix cache.
+        one page of leading tokens are grouped and the whole group lands
+        on one replica — the one whose pool already holds the longest
+        piece of the shared prefix (a cheap trie probe, no references
+        taken), falling back to the least-loaded replica for a prefix no
+        pool holds yet.  Per-replica routing would otherwise scatter the
+        group and every replica would encode the shared prefix once
+        each; grouped, one member encodes it and the rest attach it from
+        the prefix cache.
 
         Session-pinned turns keep their hard pin and singleton groups
         fall through to normal :meth:`submit` routing, so the pass only
@@ -326,10 +314,6 @@ class ClusterRouter:
         submission order.  A rejected submission propagates its
         exception; earlier members of the batch stay submitted.
         """
-        if dedup_min_tokens is None:
-            dedup_min_tokens = self.page_tokens
-        if dedup_min_tokens < 1:
-            raise ValueError("dedup_min_tokens must be >= 1")
         if not submissions:
             return []
         results: list[Request | None] = [None] * len(submissions)
@@ -357,7 +341,7 @@ class ClusterRouter:
                 run, run_lcp = [item], len(item[1]["prompt"])
                 continue
             lcp = common_prefix_len(run[-1][1]["prompt"], item[1]["prompt"])
-            if lcp >= dedup_min_tokens:
+            if lcp >= self.page_tokens:
                 run.append(item)
                 run_lcp = min(run_lcp, lcp)
             else:

@@ -26,12 +26,12 @@ from repro.llm.decode import decode_step, prefill_chunk
 from repro.llm.model import ProxyModel
 from repro.obs import MetricsRegistry, NullRecorder, wall_clock
 
+from .clock import StepCostModel
 from .metrics import EngineMetrics, decode_step_sectors
 from .pool import BudgetExceededError, PagedKVPool
 from .request import Request, RequestState
 from .scheduler import ContinuousBatchingScheduler, SchedulerPolicy
 from .storage import EccoKVBackend, Fp16KVBackend
-from .workload import StepCostModel
 
 __all__ = ["ServingEngine"]
 
@@ -68,6 +68,10 @@ class _ChunkIngestKV:
 class ServingEngine:
     """Multi-request serving over a byte-budgeted paged KV pool."""
 
+    #: Fresh requests admitted per step past a swapped queue head that
+    #: cannot currently fit (see :meth:`_admit`).
+    hol_bypass_limit = 1
+
     def __init__(
         self,
         model: ProxyModel,
@@ -81,18 +85,14 @@ class ServingEngine:
         policy: SchedulerPolicy | str = "fcfs",
         prefill_chunk_tokens: int | None = None,
         step_token_budget: int | None = None,
-        hol_bypass_limit: int = 1,
         prefix_reuse: bool = True,
-        prefix_trie: bool = True,
         cache_ttl_s: float | None = None,
-        split_min_tokens: int = 4,
         step_cost: StepCostModel | None = None,
         weights: dict | None = None,
         act_quant=None,
         record_reference: bool = False,
         clock: Callable[[], float] = wall_clock,
         recorder=None,
-        registry: MetricsRegistry | None = None,
     ):
         self.model = model
         spec = model.spec
@@ -106,27 +106,21 @@ class ServingEngine:
             raise KeyError(f"unknown storage {storage!r}; known: ecco, fp16")
         #: Observability (``repro.obs``): ``recorder`` captures request
         #: lifecycle spans, engine step-phase spans and pool instants —
-        #: the allocation-free :class:`NullRecorder` by default;
-        #: ``registry`` is the metrics registry every counter mirrors
-        #: into (a fresh one per engine unless the caller shares one).
-        #: Neither touches the clock or any RNG, so a traced run is
-        #: bit-identical to an untraced one.
+        #: the allocation-free :class:`NullRecorder` by default; every
+        #: engine and pool counter mirrors into the metrics' registry
+        #: (:attr:`registry`).  Neither touches the clock or any RNG, so
+        #: a traced run is bit-identical to an untraced one.
         self.obs = recorder if recorder is not None else NullRecorder()
-        registry = registry if registry is not None else MetricsRegistry()
-        #: ``prefix_trie`` selects the pool's token-level radix-trie
-        #: lookup (partial matches split pages at the divergence point);
-        #: disable for the legacy whole-page chain-walk fallback.
+        self.metrics = EngineMetrics()
         #: ``cache_ttl_s`` ages idle prefix-cache pages out of the
         #: budget (swept once per step) even under zero pressure.
         self.pool = PagedKVPool(
             byte_budget,
             page_tokens=page_tokens,
-            use_trie=prefix_trie,
             ttl_s=cache_ttl_s,
-            split_min_tokens=split_min_tokens,
             clock=clock,
             recorder=self.obs,
-            registry=registry,
+            registry=self.metrics.registry,
         )
         #: ``policy`` selects the scheduling decisions (admission order,
         #: preemption victim, load shedding): ``"fcfs"`` is the classic
@@ -150,11 +144,8 @@ class ServingEngine:
             )
         if step_token_budget is not None and step_token_budget < 1:
             raise ValueError("step_token_budget must be >= 1")
-        if hol_bypass_limit < 0:
-            raise ValueError("hol_bypass_limit must be >= 0")
         self.prefill_chunk_tokens = prefill_chunk_tokens
         self.step_token_budget = step_token_budget
-        self.hol_bypass_limit = int(hol_bypass_limit)
         #: Cross-turn/cross-request prefix reuse: at admission the pool's
         #: hash chain is matched against the prompt and every resident
         #: page (including promoted conversation tails) is attached
@@ -182,7 +173,6 @@ class ServingEngine:
                 "step_cost needs an advanceable clock (VirtualClock); "
                 "a wall clock cannot be charged simulated time"
             )
-        self.metrics = EngineMetrics(registry)
         self.set_obs_track("engine")
         self._last_pool_sample = None
         self.weights = weights

@@ -27,8 +27,8 @@ the engine sits an admission layer the synchronous stack never had:
   counts, and per-tenant wait time, all in :meth:`report`.
 
 Time is the engine's clock.  The front-end requires an *advanceable*
-clock (:class:`~repro.serve.workload.VirtualClock`): the pump advances
-it by the :class:`~repro.serve.workload.StepCostModel` roofline per
+clock (:class:`~repro.serve.clock.VirtualClock`): the pump advances
+it by the :class:`~repro.serve.clock.StepCostModel` roofline per
 step (or lets a ``step_cost``-charging engine advance it itself), and
 jumps it across idle gaps to the next sleeper.  Client timeouts,
 backoffs and rate limits all run in the same simulated seconds, so an
@@ -59,9 +59,9 @@ import numpy as np
 
 from repro.obs import MetricsRegistry, MirroredCounters, NullRecorder
 
+from .clock import StepCostModel
 from .pool import BudgetExceededError
 from .request import Request, RequestState
-from .workload import StepCostModel
 
 __all__ = [
     "AsyncServingEngine",
@@ -273,7 +273,7 @@ class AsyncServingEngine:
 
     ``target`` is a :class:`~repro.serve.engine.ServingEngine` or
     :class:`~repro.serve.cluster.ClusterRouter` built on a
-    :class:`~repro.serve.workload.VirtualClock`.  ``step_cost`` is the
+    :class:`~repro.serve.clock.VirtualClock`.  ``step_cost`` is the
     per-step roofline the pump charges (ignored when the engine was
     built with its own ``step_cost=`` and charges synchronously).
     ``max_pending`` bounds how many dispatched-but-unadmitted requests

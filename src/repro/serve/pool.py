@@ -21,9 +21,9 @@ first-token child buckets and vectorized token compares, so a prompt
 that shares only *part* of a page still matches — the pool splits the
 page at the divergence point (:meth:`PagedKVPool.split_page`, a pure
 block-slice both storage formats perform bit-exactly) and the request
-attaches the shared head instead of re-encoding it.  ``use_trie=False``
-falls back to the legacy whole-page chain walk (still with vectorized
-compares) for benchmarking the difference.
+attaches the shared head instead of re-encoding it.  The trie is also
+the pool's only record of resident-page topology: which page answers a
+chain, what hangs off it, and whether it is a leaf are all read from it.
 
 Preemption support distinguishes *resident* references (running
 requests) from *swapped* references (preempted requests): a page's bytes
@@ -143,18 +143,22 @@ class KVPage:
 class PagedKVPool:
     """Byte-budgeted page pool with sharing and swap accounting."""
 
+    #: Cost-aware split floor: a partial match salvaging fewer than this
+    #: many tokens is not worth a physical page split (the two
+    #: block-copied halves plus per-page overhead cost more than
+    #: re-encoding the head).  Attach-time policy only — direct
+    #: :meth:`split_page` calls are not floored.
+    split_min_tokens = 4
+
     def __init__(
         self,
         byte_budget: int,
         page_tokens: int = 8,
         *,
-        use_trie: bool = True,
         ttl_s: float | None = None,
-        split_min_tokens: int = 4,
         clock: Callable[[], float] = wall_clock,
         recorder=None,
         registry: MetricsRegistry | None = None,
-        track: str = "pool",
     ):
         if byte_budget <= 0:
             raise ValueError("byte_budget must be positive")
@@ -162,27 +166,14 @@ class PagedKVPool:
             raise ValueError("page_tokens must be >= 1")
         if ttl_s is not None and ttl_s <= 0:
             raise ValueError("ttl_s must be positive (or None to disable)")
-        if split_min_tokens < 1:
-            raise ValueError("split_min_tokens must be >= 1")
         self.byte_budget = int(byte_budget)
         self.page_tokens = int(page_tokens)
         self.ttl_s = ttl_s
-        #: Cost-aware split floor: a partial match salvaging fewer than
-        #: this many tokens is not worth a physical page split (the two
-        #: block-copied halves plus per-page overhead cost more than
-        #: re-encoding the head).  Attach-time policy only — direct
-        #: :meth:`split_page` calls are not floored.
-        self.split_min_tokens = int(split_min_tokens)
         self._clock = clock
-        #: Token-level prefix index; ``None`` in the legacy chain-walk
-        #: fallback mode (whole-page matches only, no splitting).
-        self.trie: PrefixTrie | None = PrefixTrie() if use_trie else None
-        self._pages: dict[int, KVPage] = {}     # resident pages by id
+        #: Token-level prefix index and the single owner of resident-page
+        #: topology: a page is resident exactly while it is a trie node.
+        self.trie = PrefixTrie()
         self._swapped: dict[int, KVPage] = {}   # swapped-out pages by id
-        self._index: dict[str, int] = {}        # chain -> resident page id
-        #: parent chain -> {child chain: resident page id} — the edges a
-        #: prefix-match walk descends and chain-aware eviction consults.
-        self._children: dict[str, dict[str, int]] = {}
         #: Ref-0 pages retained as a prefix cache, insertion-ordered.
         self._cached: dict[int, KVPage] = {}
         #: The slice of ``_cached`` with no resident children — the only
@@ -211,12 +202,13 @@ class PagedKVPool:
         #: every ``lookup_prefix`` call that matched at least one token.
         self.matched_prefix_hist: dict[str, int] = {}
         #: Observability (``repro.obs``): eviction/swap/split instants
-        #: land on ``track`` in the trace; every ``stats`` counter
-        #: mirrors into ``registry`` as ``pool.<name>`` via
-        #: :class:`MirroredCounters`, so no increment site changes.
+        #: land on ``track`` in the trace (the engine renames it per
+        #: replica); every ``stats`` counter mirrors into ``registry``
+        #: as ``pool.<name>`` via :class:`MirroredCounters`, so no
+        #: increment site changes.
         self.obs = recorder if recorder is not None else NullRecorder()
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.track = track
+        self.track = "pool"
         initial_stats = {
             "pages_allocated": 0,
             "pages_shared": 0,
@@ -275,14 +267,6 @@ class PagedKVPool:
         """Would ``nbytes`` fit after reclaiming the whole prefix cache?"""
         return self.bytes_active + nbytes <= self.byte_budget
 
-    def _resident_children(self, chain: str) -> list[KVPage]:
-        """Resident pages (pinned or cached) whose parent is ``chain``."""
-        return [
-            self._pages[pid]
-            for pid in self._children.get(chain, {}).values()
-            if pid in self._pages
-        ]
-
     # ------------------------------------------------------------------
     # The evictable cache and its leaf index.
     # ------------------------------------------------------------------
@@ -302,7 +286,7 @@ class PagedKVPool:
         stamps now; a split inherits the original page's age)."""
         self._cached[page.page_id] = page
         self.bytes_evictable += page.nbytes
-        if not self._children.get(page.chain):
+        if not self.trie.has_children(page.chain):
             self._leaf_add(page)
 
     def _cache_remove(self, page: KVPage) -> None:
@@ -377,7 +361,7 @@ class PagedKVPool:
                 )
                 continue
             stack.append((node, True))
-            for child in self._resident_children(node.chain):
+            for child in self.trie.children(node.chain):
                 if child.page_id in self._cached:
                     stack.append((child, False))
 
@@ -472,47 +456,19 @@ class PagedKVPool:
     # ------------------------------------------------------------------
     def peek(self, chain: str) -> KVPage | None:
         """The resident page for ``chain``, if any (no ref taken)."""
-        page_id = self._index.get(chain)
-        return None if page_id is None else self._pages[page_id]
-
-    def _match(self, ids: np.ndarray) -> PrefixMatch:
-        """Longest-prefix match of ``ids``: trie descent (token-level,
-        may report a partial node) or the legacy whole-page chain walk
-        in the trie-off fallback mode."""
-        if self.trie is not None:
-            return self.trie.match(ids, ROOT_CHAIN)
-        matched: list[KVPage] = []
-        chain, pos = ROOT_CHAIN, 0
-        total = ids.shape[0]
-        while pos < total:
-            best = None
-            for child in self._resident_children(chain):
-                n = child.num_tokens
-                if pos + n > total:
-                    continue
-                if not np.array_equal(child.token_array, ids[pos : pos + n]):
-                    continue
-                if best is None or n > best.num_tokens:
-                    best = child
-            if best is None:
-                break
-            matched.append(best)
-            pos += best.num_tokens
-            chain = best.chain
-        return PrefixMatch(pages=matched)
+        return self.trie.get(chain)
 
     def match_prefix(self, token_ids) -> list[KVPage]:
         """Resident pages fully covering the longest prefix of
-        ``token_ids`` (no partial node, no references taken)."""
-        ids = np.asarray(token_ids, dtype=np.int64).reshape(-1)
-        return self._match(ids).pages
+        ``token_ids`` (no partial node, no references taken, no
+        counters recorded)."""
+        return self.trie.match(token_ids, ROOT_CHAIN).pages
 
     def lookup_prefix(self, token_ids) -> PrefixMatch:
         """The attach-path lookup: longest prefix match *with* the
         partial-node report, recording hit/miss observability counters
         and the matched-length histogram."""
-        ids = np.asarray(token_ids, dtype=np.int64).reshape(-1)
-        match = self._match(ids)
+        match = self.trie.match(token_ids, ROOT_CHAIN)
         matched = match.matched_tokens
         if matched == 0:
             self.stats["prefix_misses"] += 1
@@ -536,8 +492,7 @@ class PagedKVPool:
         no counters recorded and no split performed — the cheap probe
         the cluster router's pre-flight dedup uses to place a group on
         the replica already holding its shared prefix."""
-        ids = np.asarray(token_ids, dtype=np.int64).reshape(-1)
-        return self._match(ids).matched_tokens
+        return self.trie.match(token_ids, ROOT_CHAIN).matched_tokens
 
     # ------------------------------------------------------------------
     # Partial-page splitting.
@@ -561,8 +516,6 @@ class PagedKVPool:
         so every existing chain stays reachable and the no-orphans
         invariant holds across the rewrite.
         """
-        if self.trie is None:
-            return None
         if page.ref_count > 0 or page.swapped_refs > 0:
             return None
         if page.page_id not in self._cached:
@@ -576,7 +529,10 @@ class PagedKVPool:
         tail_ids = page.token_ids[head_tokens:]
         head_chain = chain_hash(page.parent, head_ids)
         tail_chain = chain_hash(head_chain, tail_ids)
-        if head_chain in self._index or tail_chain in self._index:
+        if (
+            self.peek(head_chain) is not None
+            or self.peek(tail_chain) is not None
+        ):
             # A bit-identical head already exists (the descent would
             # normally have full-matched it); don't shadow it.
             return None
@@ -598,12 +554,6 @@ class PagedKVPool:
                 f"split fp16 bytes drifted: {head_fp16} + {tail_fp16} != "
                 f"{page.fp16_nbytes}"
             )
-        resident_children = dict(self._children.get(page.chain, {}))
-        swapped_children = [
-            child
-            for child in self._swapped.values()
-            if child.parent == page.chain
-        ]
         self._cache_remove(page)
         self._unregister(page)
         head = KVPage(
@@ -635,17 +585,13 @@ class PagedKVPool:
         self._register(tail)
         self._bump(page.nbytes, page.fp16_nbytes)
         # Re-parent the old page's children under the tail (their chain
-        # identities are untouched — only the edge moves).
-        for child_chain, child_id in resident_children.items():
-            child = self._pages[child_id]
-            if self.trie is not None:
-                self.trie.reparent(child, tail_chain)
-            else:
+        # identities are untouched — only the edge moves; trie edges are
+        # keyed by parent chain, so they outlived the old page's node).
+        for child in self.trie.children(page.chain):
+            self.trie.reparent(child, tail_chain)
+        for child in self._swapped.values():
+            if child.parent == page.chain:
                 child.parent = tail_chain
-            self._children.setdefault(tail_chain, {})[child_chain] = child_id
-        self._children.pop(page.chain, None)
-        for child in swapped_children:
-            child.parent = tail_chain
         # Both halves go back into the cache with the original page's
         # age and hit history (a split is bookkeeping, not a use).
         self._cache_insert(tail)
@@ -685,16 +631,7 @@ class PagedKVPool:
         """
         existing = self.peek(chain)
         if existing is not None:
-            if existing.ref_count == 0 and existing.page_id in self._cached:
-                self._cache_remove(existing)  # prefix-cache hit: re-pin
-                self.stats["prefix_cache_hits"] += 1
-            existing.ref_count += 1
-            existing.hits += 1
-            existing.last_used = self._clock()
-            self.stats["pages_shared"] += 1
-            self.stats["shared_bytes_saved"] += existing.nbytes
-            self.stats["shared_fp16_bytes_saved"] += existing.fp16_nbytes
-            return existing, True
+            return self._share(existing), True
         payload, nbytes, fp16_nbytes = build_payload()
         self._evict_for(nbytes)
         page = KVPage(
@@ -716,41 +653,37 @@ class PagedKVPool:
             self.stats["bytes_written"] += page.nbytes
         return page, False
 
+    def _share(self, page: KVPage) -> KVPage:
+        """Pin one more resident reference on an already-resident page
+        (re-pinning it out of the prefix cache if it was sitting there)
+        and book the sharing dividend."""
+        if page.ref_count == 0 and page.page_id in self._cached:
+            self._cache_remove(page)  # prefix-cache hit: re-pin
+            self.stats["prefix_cache_hits"] += 1
+        page.ref_count += 1
+        page.hits += 1
+        page.last_used = self._clock()
+        self.stats["pages_shared"] += 1
+        self.stats["shared_bytes_saved"] += page.nbytes
+        self.stats["shared_fp16_bytes_saved"] += page.fp16_nbytes
+        return page
+
     def _register(self, page: KVPage) -> None:
-        self._pages[page.page_id] = page
-        self._index.setdefault(page.chain, page.page_id)
-        self._children.setdefault(page.parent, {}).setdefault(
-            page.chain, page.page_id
-        )
-        if self.trie is not None:
-            self.trie.insert(page)
+        self.trie.insert(page)
         # The parent gained a resident child: it is no longer a leaf.
-        parent_id = self._index.get(page.parent)
-        if parent_id is not None:
-            self._leaf_cached.pop(parent_id, None)
+        parent = self.peek(page.parent)
+        if parent is not None:
+            self._leaf_cached.pop(parent.page_id, None)
 
     def _unregister(self, page: KVPage) -> None:
-        del self._pages[page.page_id]
-        if self.trie is not None:
-            self.trie.remove(page)
-        if self._index.get(page.chain) == page.page_id:
-            del self._index[page.chain]
-        siblings = self._children.get(page.parent)
-        if siblings is not None and siblings.get(page.chain) == page.page_id:
-            del siblings[page.chain]
-            if not siblings:
-                del self._children[page.parent]
+        self.trie.remove(page)
         self._bump(-page.nbytes, -page.fp16_nbytes)
         # The parent may just have lost its last resident child: if it
         # is sitting in the cache, it becomes an eviction leaf.
-        if not self._children.get(page.parent):
-            parent_id = self._index.get(page.parent)
-            if parent_id is not None and parent_id in self._cached:
-                self._leaf_add(self._pages[parent_id])
-
-    def _reachable(self, parent: str) -> bool:
-        """Can a prefix-match walk reach a page chained off ``parent``?"""
-        return parent == ROOT_CHAIN or parent in self._index
+        if not self.trie.has_children(page.parent):
+            parent = self.peek(page.parent)
+            if parent is not None and parent.page_id in self._cached:
+                self._leaf_add(parent)
 
     def _maybe_demote(self, page: KVPage) -> None:
         """A page whose last resident ref just left: swap it out if a
@@ -760,12 +693,12 @@ class PagedKVPool:
         freed outright instead of wasting budget as dead weight."""
         if page.ref_count > 0:
             return
-        if page.page_id in self._pages:
+        if self.peek(page.chain) is page:
             if page.swapped_refs > 0:
                 # The page leaves residency: cached descendants become
                 # unreachable until it swaps back in — reclaim them now
                 # rather than letting them squat in the budget.
-                for child in self._resident_children(page.chain):
+                for child in self.trie.children(page.chain):
                     if child.page_id in self._cached:
                         self._evict_page(child, reason="cascade")
                 self._unregister(page)
@@ -781,7 +714,7 @@ class PagedKVPool:
                     page_id=page.page_id,
                 )
                 return
-            if not self._reachable(page.parent):
+            if page.parent != ROOT_CHAIN and self.peek(page.parent) is None:
                 self._unregister(page)
                 self.stats["pages_freed"] += 1
                 return
@@ -827,31 +760,18 @@ class PagedKVPool:
         if page.swapped_refs <= 0:
             raise ValueError(f"page {page.page_id} has no swapped refs")
         page.swapped_refs -= 1
-        if page.page_id in self._pages:
+        substitute = self.peek(page.chain)
+        if substitute is page:
             page.ref_count += 1  # stayed resident via another request
             return page
-        resident_id = self._index.get(page.chain)
-        if resident_id is not None:
+        if substitute is not None:
             # Other preempted requests may still reference the swapped
             # copy; it is freed only when the last of them leaves.
             if page.swapped_refs == 0:
                 del self._swapped[page.page_id]
                 self.bytes_swapped -= page.nbytes
                 self.stats["pages_freed"] += 1
-            substitute = self._pages[resident_id]
-            if (
-                substitute.ref_count == 0
-                and substitute.page_id in self._cached
-            ):  # sitting in the prefix cache
-                self._cache_remove(substitute)
-                self.stats["prefix_cache_hits"] += 1
-            substitute.ref_count += 1
-            substitute.hits += 1
-            substitute.last_used = self._clock()
-            self.stats["pages_shared"] += 1
-            self.stats["shared_bytes_saved"] += substitute.nbytes
-            self.stats["shared_fp16_bytes_saved"] += substitute.fp16_nbytes
-            return substitute
+            return self._share(substitute)
         del self._swapped[page.page_id]
         self._evict_for(page.nbytes)
         self._register(page)
@@ -948,7 +868,7 @@ class PagedKVPool:
     # ------------------------------------------------------------------
     @property
     def num_resident_pages(self) -> int:
-        return len(self._pages)
+        return len(self.trie)
 
     @property
     def num_swapped_pages(self) -> int:
@@ -969,7 +889,7 @@ class PagedKVPool:
         reachable = {ROOT_CHAIN}
         frontier = [ROOT_CHAIN]
         while frontier:
-            for child in self._resident_children(frontier.pop()):
+            for child in self.trie.children(frontier.pop()):
                 if child.chain not in reachable:
                     reachable.add(child.chain)
                     frontier.append(child.chain)
@@ -985,7 +905,7 @@ class PagedKVPool:
         truth = {
             page.page_id
             for page in self._cached.values()
-            if not self._children.get(page.chain)
+            if not self.trie.has_children(page.chain)
         }
         indexed = set(self._leaf_cached)
         out = []
@@ -1000,9 +920,7 @@ class PagedKVPool:
         return {
             "byte_budget": self.byte_budget,
             "page_tokens": self.page_tokens,
-            "trie_enabled": self.trie is not None,
             "ttl_s": self.ttl_s,
-            "split_min_tokens": self.split_min_tokens,
             "bytes_resident": self.bytes_resident,
             "bytes_active": self.bytes_active,
             "bytes_evictable": self.bytes_evictable,
@@ -1019,9 +937,6 @@ class PagedKVPool:
                     self.matched_prefix_hist.items(),
                     key=lambda kv: int(kv[0].split("-")[0]),
                 )
-            ),
-            "trie_stats": (
-                dict(self.trie.stats) if self.trie is not None else {}
             ),
             **self.stats,
         }

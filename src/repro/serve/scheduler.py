@@ -30,8 +30,8 @@ traffic, not deadline slack.
 One head-of-line refinement over strict queue order: a swapped request
 whose re-admission cannot currently fit no longer freezes the whole
 fresh queue — the engine may admit a bounded number of fresh requests
-past it per step (``hol_bypass_limit``), counting every blocked step so
-the policy cost is visible in the metrics.
+past it per step (``ServingEngine.hol_bypass_limit``), counting every
+blocked step so the policy cost is visible in the metrics.
 """
 
 from __future__ import annotations
@@ -111,20 +111,15 @@ class DeadlinePolicy(SchedulerPolicy):
     ``default_slo`` applies to requests submitted without one (so a
     whole engine can run under a blanket objective); requests without
     any applicable deadline sort last for admission and first for
-    preemption — no objective means infinite slack.  ``shed_grace_s``
-    tolerates a deadline overshoot before shedding: ``0.0`` sheds the
-    moment the TTFT deadline passes, which is the honest default — a
-    token the SLO already missed is not worth the prefill it costs
-    under overload.
+    preemption — no objective means infinite slack.  A queued request
+    is shed the moment its TTFT deadline passes: a token the SLO already
+    missed is not worth the prefill it costs under overload.
     """
 
     name = "deadline"
 
-    def __init__(self, default_slo: SLO | None = None, shed_grace_s: float = 0.0):
-        if shed_grace_s < 0:
-            raise ValueError("shed_grace_s must be >= 0")
+    def __init__(self, default_slo: SLO | None = None):
         self.default_slo = default_slo
-        self.shed_grace_s = float(shed_grace_s)
 
     def _deadline(self, request: Request) -> float:
         if request.slo is None and self.default_slo is not None:
@@ -142,7 +137,7 @@ class DeadlinePolicy(SchedulerPolicy):
 
     def should_shed(self, request: Request, now: float) -> bool:
         deadline = self._deadline(request)
-        return deadline != float("inf") and now > deadline + self.shed_grace_s
+        return deadline != float("inf") and now > deadline
 
     def pick_victim(self, candidates, now: float) -> Request:
         def _slack(request: Request) -> float:

@@ -31,9 +31,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .clock import StepCostModel, VirtualClock
+from .frontend import AsyncServingEngine, RequestShedError
 from .pool import BudgetExceededError
 from .request import Request
-from .workload import SessionTrace, StepCostModel, VirtualClock
+from .workload import SessionTrace
 
 __all__ = ["Session", "replay_sessions"]
 
@@ -192,8 +194,6 @@ def replay_sessions(
     ``"sessions"`` — feed their ``turn_reports()`` to
     :func:`repro.serve.metrics.summarize_turns` for the reuse summary.
     """
-    from .frontend import AsyncServingEngine, RequestShedError
-
     if isinstance(target, AsyncServingEngine):
         frontend = target
     else:
@@ -204,8 +204,6 @@ def replay_sessions(
                 "the engine); passing a replay-side step_cost would "
                 "double-count"
             )
-        if step_cost is None and not engine_charges:
-            step_cost = StepCostModel()
         frontend = AsyncServingEngine(
             target, step_cost=step_cost, max_steps=max_steps
         )

@@ -16,9 +16,11 @@ the divergence point (see ``PagedKVPool.split_page``), so the next
 lookup full-matches the shared head; the trie itself only reports where
 the split should land.
 
-The trie stores no payloads and takes no references — it is a pure
-index, kept in sync by the pool's register/unregister hooks, and every
-node it holds is a resident ``KVPage``.
+The trie stores no payloads and takes no references, but it is the
+pool's only record of which pages are resident and how they chain: the
+pool's register/unregister hooks write it, every node is a resident
+``KVPage``, and eviction, demotion and the invariant checks read
+topology back through ``get``/``children``/``has_children``.
 """
 
 from __future__ import annotations
@@ -78,50 +80,54 @@ class PrefixTrie:
     def __init__(self):
         #: chain -> page, every resident page indexed.
         self._nodes: dict[str, object] = {}
-        #: parent chain -> first token -> {chain: page}.
+        #: parent chain -> first token -> {chain: page}.  Empty buckets
+        #: are deleted eagerly, so a chain is a key here exactly when it
+        #: has resident children.
         self._edges: dict[str, dict[int, dict[str, object]]] = {}
-        #: Descent-cost observability (the pool folds these into its
-        #: snapshot): ``descents`` counts :meth:`match` calls,
-        #: ``nodes_visited`` the trie nodes compared across all
-        #: descents, ``partial_stops`` the descents that ended inside a
-        #: node (split opportunities).
-        self.stats = {
-            "descents": 0,
-            "nodes_visited": 0,
-            "partial_stops": 0,
-        }
 
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def __contains__(self, chain: str) -> bool:
-        return chain in self._nodes
+    def get(self, chain: str):
+        """The resident page whose identity is ``chain``, or ``None``."""
+        return self._nodes.get(chain)
+
+    def children(self, chain: str) -> list:
+        """The resident pages chained directly off ``chain``."""
+        return [
+            page
+            for bucket in self._edges.get(chain, {}).values()
+            for page in bucket.values()
+        ]
+
+    def has_children(self, chain: str) -> bool:
+        return chain in self._edges
 
     def insert(self, page) -> None:
         """Index one resident page under its parent chain."""
         if page.chain in self._nodes:
-            return  # duplicate chain: first registration wins, like _index
+            # A second page for one chain would be counted in the byte
+            # budget yet unreachable by any lookup; every pool path
+            # checks :meth:`get` first, so this is an accounting bug.
+            raise RuntimeError(
+                f"chain {page.chain!r} is already resident; refusing to "
+                f"register page {page.page_id} under the same identity"
+            )
         self._nodes[page.chain] = page
         first = int(page.token_array[0])
         bucket = self._edges.setdefault(page.parent, {}).setdefault(first, {})
         bucket[page.chain] = page
 
     def remove(self, page) -> None:
-        """Drop one page from the index (it left residency)."""
-        if self._nodes.get(page.chain) is not page:
-            return
+        """Drop one resident page from the index (it left residency)."""
         del self._nodes[page.chain]
-        buckets = self._edges.get(page.parent)
-        if buckets is None:
-            return
+        buckets = self._edges[page.parent]
         first = int(page.token_array[0])
-        bucket = buckets.get(first)
-        if bucket is not None and bucket.get(page.chain) is page:
-            del bucket[page.chain]
-            if not bucket:
-                del buckets[first]
-            if not buckets:
-                del self._edges[page.parent]
+        del buckets[first][page.chain]
+        if not buckets[first]:
+            del buckets[first]
+        if not buckets:
+            del self._edges[page.parent]
 
     def reparent(self, page, new_parent: str) -> None:
         """Move a page under a new parent chain (page splits use this)."""
@@ -139,13 +145,11 @@ class PrefixTrie:
         """
         ids = np.asarray(ids, dtype=np.int64).reshape(-1)
         out = PrefixMatch()
-        self.stats["descents"] += 1
         chain, pos = root, 0
         while pos < ids.shape[0]:
             bucket = self._edges.get(chain, {}).get(int(ids[pos]))
             if not bucket:
                 break
-            self.stats["nodes_visited"] += len(bucket)
             best_full = None
             best_partial, best_partial_tokens = None, 0
             suffix = ids[pos:]
@@ -171,6 +175,5 @@ class PrefixTrie:
             if best_partial is not None:
                 out.partial = best_partial
                 out.partial_tokens = best_partial_tokens
-                self.stats["partial_stops"] += 1
             break
         return out

@@ -188,7 +188,7 @@ def test_rejected_and_named_submissions_do_not_burn_ids(tiny_engine_parts):
 # 4. Bounded head-of-line bypass.
 # ----------------------------------------------------------------------
 
-def _hol_run(spec, model, calib, pt, hol_bypass_limit):
+def _hol_run(spec, model, calib, pt):
     """A + B contend until B is preempted and cannot re-admit; C (small)
     then arrives.  Returns (report, c_served_while_b_swapped)."""
     engine = ServingEngine(
@@ -198,7 +198,6 @@ def _hol_run(spec, model, calib, pt, hol_bypass_limit):
         page_tokens=8,
         max_batch_size=4,
         watermark=0.0,
-        hol_bypass_limit=hol_bypass_limit,
     )
     rng = np.random.default_rng(5)
     engine.submit(rng.integers(0, spec.vocab_size, size=16), max_new_tokens=30)
@@ -229,23 +228,13 @@ def test_hol_bypass_admits_small_requests_past_a_stuck_swap(
 ):
     spec, model, calib = tiny_engine_parts
     pt = _per_token(model, calib)
-    report, c_while_b_swapped = _hol_run(spec, model, calib, pt, 1)
+    report, c_while_b_swapped = _hol_run(spec, model, calib, pt)
     assert report["finished"] == 3
     assert report["preemptions"] >= 1
     assert report["hol_blocked_steps"] > 0   # the condition occurred...
     assert report["hol_bypasses"] >= 1       # ...and was bypassed
     assert c_while_b_swapped                 # C ran while B waited
     assert report["pool"]["budget_overruns"] == 0
-
-
-def test_hol_bypass_limit_zero_restores_strict_fcfs(tiny_engine_parts):
-    spec, model, calib = tiny_engine_parts
-    pt = _per_token(model, calib)
-    report, c_while_b_swapped = _hol_run(spec, model, calib, pt, 0)
-    assert report["finished"] == 3
-    assert report["hol_blocked_steps"] > 0
-    assert report["hol_bypasses"] == 0
-    assert not c_while_b_swapped             # C waited behind B
 
 
 def test_hol_blocking_not_counted_without_fresh_work(tiny_engine_parts):

@@ -1,8 +1,9 @@
 """Tier-0 tests for the token-level prefix trie, partial-page splitting
 and the cost-aware TTL eviction policy.
 
-The invariants pinned here: (1) the trie's full-page matching agrees
-with the legacy chain walk on every query; (2) splitting a page then
+The invariants pinned here: (1) a lookup matches exactly as many tokens
+as a brute-force scan of the inserted sequences, and its full pages
+spell a prefix of the query; (2) splitting a page then
 re-descending matches at least as much as before, byte-for-byte the
 same prefix; (3) split pages are bit-exact vs fresh encodes on both
 storage backends and conserve byte totals exactly; (4) TTL expiry never
@@ -11,7 +12,9 @@ minimum ``(1 + hits) * nbytes``, ties least-recently-used; (6) the
 incremental leaf index never disagrees with a ground-truth recompute;
 (7) the engine's warm partial attach generates exactly the tokens a
 cold run would; (8) the cluster's pre-flight batch dedup lands a
-shared-prefix group on one replica.
+shared-prefix group on one replica; (9) probes record nothing; (10) the
+trie refuses a second page for a resident chain; (11) the engine's
+``cache_ttl_s`` ages an idle cached chain out in the evict phase.
 """
 
 import numpy as np
@@ -20,9 +23,14 @@ import pytest
 from repro.llm import ProxyModel, calibrate, get_proxy_spec
 from repro.serve import (
     ClusterRouter,
+    KVPage,
     PagedKVPool,
+    PrefixTrie,
     ServingEngine,
+    StepCostModel,
+    VirtualClock,
     chain_hash,
+    common_prefix_len,
 )
 from repro.serve.pool import ROOT_CHAIN
 from repro.serve.storage import EccoKVBackend, Fp16KVBackend
@@ -105,41 +113,41 @@ def _check_invariants(pool):
     pool.check_budget()
 
 
-def _random_pool_pair(rng, n_seqs=6, pages_per_seq=3, page_tokens=4):
-    """The same random page population in a trie pool and a legacy pool."""
-    pools = (
-        PagedKVPool(10**9, page_tokens=page_tokens, use_trie=True),
-        PagedKVPool(10**9, page_tokens=page_tokens, use_trie=False),
-    )
+def _random_pool(rng, n_seqs=6, pages_per_seq=3, page_tokens=4):
+    """A pool caching the pages of a few random sequences."""
+    pool = PagedKVPool(10**9, page_tokens=page_tokens)
     seqs = []
     for _ in range(n_seqs):
         # Small alphabet: plenty of shared prefixes and branch points.
         seqs.append(rng.integers(0, 3, size=pages_per_seq * page_tokens))
-    for pool in pools:
-        for seq in seqs:
-            for page in _grow_chain(pool, seq, page_tokens):
-                pool.release(page)
-    return pools, seqs
+    for seq in seqs:
+        for page in _grow_chain(pool, seq, page_tokens):
+            pool.release(page)
+    return pool, seqs
 
 
-def test_trie_matches_chain_walk_on_full_pages():
+def test_lookup_matches_brute_force_oracle():
     rng = np.random.default_rng(11)
     for round_ in range(10):
-        (trie_pool, walk_pool), seqs = _random_pool_pair(rng)
+        pool, seqs = _random_pool(rng)
         for _ in range(20):
             query = rng.integers(0, 3, size=int(rng.integers(1, 16)))
-            a = trie_pool.match_prefix(query)
-            b = walk_pool.match_prefix(query)
-            # Page-boundary (full-page) matches must agree exactly.
-            assert [p.token_ids for p in a] == [p.token_ids for p in b]
-        _check_invariants(trie_pool)
-        _check_invariants(walk_pool)
+            match = pool.lookup_prefix(query)
+            # Token-level: the descent finds the longest prefix any
+            # inserted sequence shares with the query, partial page
+            # included.
+            assert match.matched_tokens == max(
+                common_prefix_len(query, seq) for seq in seqs
+            )
+            covered = [t for page in match.pages for t in page.token_ids]
+            assert covered == list(query[: match.full_tokens])
+        _check_invariants(pool)
 
 
 def test_split_then_descend_extends_the_match():
     rng = np.random.default_rng(23)
     for round_ in range(20):
-        (pool, _), seqs = _random_pool_pair(rng)
+        pool, seqs = _random_pool(rng)
         query = rng.integers(0, 3, size=int(rng.integers(2, 16)))
         before = pool.lookup_prefix(query)
         covered = [
@@ -167,7 +175,7 @@ def test_split_then_descend_extends_the_match():
 
 
 def test_split_conserves_bytes_and_reparents_children():
-    pool = PagedKVPool(10**9, page_tokens=4, use_trie=True)
+    pool = PagedKVPool(10**9, page_tokens=4)
     seq = np.array([0, 1, 2, 3, 4, 5, 6, 7])
     pages = _grow_chain(pool, seq, 4)
     for page in pages:
@@ -188,7 +196,7 @@ def test_split_conserves_bytes_and_reparents_children():
 
 
 def test_split_refuses_pinned_and_swapped_pages():
-    pool = PagedKVPool(10**9, page_tokens=4, use_trie=True)
+    pool = PagedKVPool(10**9, page_tokens=4)
     (page,) = _grow_chain(pool, np.arange(4), 4)
     # Pinned: a live tenant holds the page object itself.
     assert pool.split_page(page, 2, _fake_split) is None
@@ -252,7 +260,7 @@ def test_split_pages_bit_exact_vs_fresh_encode(parts, backend_cls):
 def test_ttl_expiry_never_orphans_a_chain():
     clock = FakeClock()
     pool = PagedKVPool(
-        10**9, page_tokens=4, use_trie=True, ttl_s=10.0, clock=clock
+        10**9, page_tokens=4, ttl_s=10.0, clock=clock
     )
     rng = np.random.default_rng(5)
     live = []
@@ -285,7 +293,7 @@ def test_ttl_expiry_never_orphans_a_chain():
 
 def test_cost_weighted_victim_ordering():
     clock = FakeClock()
-    pool = PagedKVPool(10**9, page_tokens=4, use_trie=True, clock=clock)
+    pool = PagedKVPool(10**9, page_tokens=4, clock=clock)
 
     def root_page(ids, extra_hits=0):
         chain = chain_hash(ROOT_CHAIN, ids)
@@ -327,7 +335,7 @@ def test_leaf_index_tracks_random_operations():
     rng = np.random.default_rng(17)
     clock = FakeClock()
     pool = PagedKVPool(
-        60_000, page_tokens=4, use_trie=True, ttl_s=50.0, clock=clock
+        60_000, page_tokens=4, ttl_s=50.0, clock=clock
     )
     held = []
     for _ in range(200):
@@ -364,13 +372,13 @@ def test_engine_partial_attach_matches_cold_generation(parts):
         for _ in range(2)
     ]
 
-    def run(prefix_trie):
+    def run(prefix_reuse):
         engine = ServingEngine(
             model,
             calib,
             byte_budget=2_000_000,
             page_tokens=32,
-            prefix_trie=prefix_trie,
+            prefix_reuse=prefix_reuse,
         )
         outs = []
         for prompt in prompts:
@@ -381,10 +389,10 @@ def test_engine_partial_attach_matches_cold_generation(parts):
         return engine, outs
 
     trie_engine, trie_outs = run(True)
-    walk_engine, walk_outs = run(False)
+    cold_engine, cold_outs = run(False)
     # Bit-exact storage means the warm request decodes exactly what the
     # cold run decodes — identical logits, identical tokens.
-    assert trie_outs == walk_outs
+    assert trie_outs == cold_outs
     report = trie_engine.report(1.0)
     assert report["prefix_tokens_reused"] == 28
     assert report["prefix_partial_attaches"] == 1
@@ -392,7 +400,7 @@ def test_engine_partial_attach_matches_cold_generation(parts):
     assert report["pool"]["pages_split"] == 1
     assert report["pool"]["prefix_partial_hits"] == 1
     assert report["pool"]["matched_prefix_hist"] == {"16-31": 1}
-    assert walk_engine.report(1.0)["prefix_tokens_reused"] == 0
+    assert cold_engine.report(1.0)["prefix_tokens_reused"] == 0
     second = trie_engine.requests[1]
     assert second.metrics.split_tokens == 28
     assert second.metrics.cached_tokens == 28
@@ -435,3 +443,49 @@ def test_cluster_batch_dedup_groups_shared_prefixes(parts):
     assert report["routing"]["dedup_groups"] == 1
     # Grouping paid off: the later members attached the shared prefix.
     assert report["prefix_tokens_reused"] > 0
+
+
+def test_probes_record_nothing():
+    rng = np.random.default_rng(41)
+    pool, seqs = _random_pool(rng)
+    before = pool.snapshot()
+    for seq in seqs:
+        # A whole chain, a mid-page stop, and an unrelated query.
+        for query in (seq, seq[:6], seq[::-1]):
+            pool.probe_prefix(query)
+            pool.match_prefix(query)
+    assert pool.snapshot() == before
+
+
+def test_trie_refuses_a_second_page_for_a_resident_chain():
+    trie = PrefixTrie()
+    first = KVPage(page_id=0, chain="c", token_ids=(1, 2))
+    trie.insert(first)
+    with pytest.raises(RuntimeError, match="already resident"):
+        trie.insert(KVPage(page_id=1, chain="c", token_ids=(1, 2)))
+    assert trie.get("c") is first and len(trie) == 1
+
+
+def test_engine_cache_ttl_ages_out_an_idle_chain(parts):
+    spec, model, calib = parts
+    clock = VirtualClock()
+    engine = ServingEngine(
+        model,
+        calib,
+        byte_budget=2_000_000,
+        page_tokens=8,
+        cache_ttl_s=5.0,
+        step_cost=StepCostModel(),
+        clock=clock,
+    )
+    rng = np.random.default_rng(43)
+    engine.submit(rng.integers(0, spec.vocab_size, size=24), 2)
+    engine.run()
+    pool = engine.pool
+    assert pool.num_cached_pages >= 3   # the finished prompt's chain
+    clock.advance(10.0)                 # idle past the TTL
+    engine.step()                       # the evict phase sweeps it
+    assert pool.num_cached_pages == 0
+    assert pool.stats["evictions_ttl"] >= 3
+    assert pool.stats["evictions_pressure"] == 0
+    _check_invariants(pool)

@@ -414,7 +414,7 @@ def test_cluster_routes_by_prefix_affinity_and_aggregates(parts):
         )
         for _ in range(2)
     ]
-    cluster = ClusterRouter(engines, affinity_pages=1)
+    cluster = ClusterRouter(engines)
     cfg = WorkloadConfig(
         duration_s=15.0,
         rate_rps=2.0,
