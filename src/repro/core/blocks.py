@@ -1,17 +1,18 @@
 """Bit-exact packing of one group into one fixed 64-byte block.
 
-Block layout (512 bits, MSB-first within each byte):
+Block layout (512 bits, MSB-first within each byte; widths for the
+default 128-value group):
 
 ====================  ====
 field                 bits
 ====================  ====
 group scale (fp16)      16
-scale position           8
+scale position           7
 pattern id               8
 codebook id              4
-outlier count            6
+outlier count            5
 Huffman payload          —   (one code per non-scale value, in order)
-outlier slots         16×n   (8-bit position + 8-bit signed correction)
+outlier slots         15×n   (7-bit position + 8-bit signed correction)
 zero padding             —   (to 512)
 ====================  ====
 
@@ -20,10 +21,18 @@ Two implementations share this layout:
 * :func:`pack_block` / :func:`unpack_block` — the scalar reference, one
   Python-level bit at a time.  Kept as the executable specification the
   vectorized path is tested against.
-* :func:`pack_blocks` / :func:`unpack_blocks` — the production path: all
-  groups at once through ``np.packbits`` / ``np.unpackbits`` bit planes
-  and 256-entry speculative-window Huffman tables (the software twin of
-  the hardware's 8-bit window decode).  Byte-for-byte identical output.
+* :func:`pack_blocks` / :func:`unpack_blocks` — the production path, one
+  implementation for every group count.  Packing treats a block as the
+  concatenation of its fields: bit offsets are a running sum of widths
+  and each field is added onto the 16-bit words it touches, so there is
+  no bit plane.  Unpacking reads the same bytes as 32-bit words, looks
+  every speculative window up in 256-entry Huffman tables (the software
+  twin of the hardware's 8-bit window decode) and advances all groups in
+  lockstep; stacks of at most ``_SMALL_DECODE_BLOCKS`` blocks — the
+  decode loop's one token per read — take a per-block big-integer decode
+  instead, which is cheaper below the measured crossover.  Byte-for-byte
+  identical output, and a damaged block raises ``ValueError("corrupt
+  block: ...")`` from every path.
 """
 
 from __future__ import annotations
@@ -73,6 +82,8 @@ class BitReader:
         self.pos = 0
 
     def read(self, bits: int) -> int:
+        if self.pos + bits > len(self.data) * 8:
+            raise ValueError("corrupt block: read past the end of the block")
         value = 0
         for _ in range(bits):
             byte = self.data[self.pos >> 3]
@@ -138,17 +149,17 @@ def window_tables(code_lengths: np.ndarray, window_bits: int) -> tuple:
     """Speculative-window Huffman decode tables, one row per codebook.
 
     For every ``window_bits``-wide bit window the tables give the symbol
-    whose canonical code prefixes the window and that code's length (0
-    marks an invalid window).  Because canonical codes are prefix-free the
-    window ranges never collide — this is exactly the hardware's 8-bit
-    window decoder as two (H, 2**window_bits) arrays.  The returned tuple
+    whose canonical code prefixes the window and that code's length (an
+    invalid window has symbol -1 and length 0).  Because canonical codes
+    are prefix-free the window ranges never collide — this is exactly the
+    hardware's 8-bit window decoder as two (H, 2**window_bits) arrays.  The returned tuple
     also carries the same tables as nested Python lists, which the
     small-stack scalar decode indexes without per-call conversion.
     """
     from .huffman import canonical_codes
 
     H, num_symbols = code_lengths.shape
-    sym_table = np.zeros((H, 1 << window_bits), dtype=np.int64)
+    sym_table = np.full((H, 1 << window_bits), -1, dtype=np.int64)
     len_table = np.zeros((H, 1 << window_bits), dtype=np.int64)
     for h in range(H):
         lengths = code_lengths[h]
@@ -164,22 +175,22 @@ def window_tables(code_lengths: np.ndarray, window_bits: int) -> tuple:
     return sym_table, len_table, sym_table.tolist(), len_table.tolist()
 
 
-def _scatter_bits(
-    bits: np.ndarray,
-    values: np.ndarray,
-    widths: np.ndarray,
-    starts: np.ndarray,
-    rows: np.ndarray,
-    max_width: int,
-) -> None:
-    """Write ``values`` (``widths`` bits wide, MSB-first) at bit offsets
-    ``starts`` of per-group rows of the (G, block_bits) bit plane."""
-    jj = np.arange(max_width)
-    valid = jj < widths[..., None]
-    shift = np.maximum(widths[..., None] - 1 - jj, 0)
-    bitvals = (values[..., None] >> shift) & 1
-    target = rows[..., None] * bits.shape[1] + starts[..., None] + jj
-    bits.ravel()[target[valid]] = bitvals[valid].astype(np.uint8)
+#: Fields are scattered through 32-bit windows onto big-endian 16-bit
+#: words, so one field (a header id, a Huffman code, an outlier slot) may
+#: be at most this wide.
+_MAX_FIELD_BITS = 16
+
+
+def _header_widths(config) -> tuple:
+    """Bit widths of the header fields, in block order: scale, scale
+    position, pattern id, codebook id, outlier count."""
+    return (
+        16,
+        config.scale_pos_bits,
+        config.pattern_id_bits,
+        config.codebook_id_bits,
+        config.outlier_count_bits,
+    )
 
 
 def pack_blocks(
@@ -196,96 +207,70 @@ def pack_blocks(
     """Serialize every group at once; rows match :func:`pack_block` exactly.
 
     ``corrections`` is the dense (G, group_size) outlier matrix (0 = no
-    slot); slots are emitted in ascending position order, the same order
-    the planner found them.
+    slot).  A block is the MSB-first concatenation of its fields — five
+    header fields, one code per position (none at the scale slot), one
+    outlier slot per position (none where the correction is 0) — so every
+    field's bit offset is the running sum of the widths before it, and the
+    slots come out in ascending position order like the scalar writer's.
     """
     G, group_size = symbols.shape
     block_bits = config.block_bits
-    header_bits = config.header_bits
-    if header_bits > 64:
-        raise ValueError("header wider than 64 bits; scalar path required")
-    bits = np.zeros((G, block_bits), dtype=np.uint8)
-    rows = np.arange(G, dtype=np.int64)
-
-    out_counts = (corrections != 0).sum(axis=1).astype(np.uint64)
-
-    # Header: one uint64 per group, field-packed then spread MSB-first.
-    header = np.float16(scales).view(np.uint16).astype(np.uint64)
-    header = (header << np.uint64(config.scale_pos_bits)) | scale_pos.astype(
-        np.uint64
-    )
-    header = (header << np.uint64(config.pattern_id_bits)) | pattern_ids.astype(
-        np.uint64
-    )
-    header = (header << np.uint64(config.codebook_id_bits)) | codebook_ids.astype(
-        np.uint64
-    )
-    header = (header << np.uint64(config.outlier_count_bits)) | out_counts
-    hj = np.arange(header_bits)
-    bits[:, :header_bits] = (
-        (header[:, None] >> (header_bits - 1 - hj).astype(np.uint64)) & np.uint64(1)
-    ).astype(np.uint8)
-
-    # Huffman payload: per-value code bits at cumulative offsets.
+    code_lengths = np.asarray(code_lengths, dtype=np.int64)
+    code_values = np.asarray(code_values, dtype=np.int64)
     coded = symbols != SCALE_SYMBOL
     safe = np.where(coded, symbols, 0)
-    cl = code_lengths[codebook_ids].astype(np.int64)  # (G, num_symbols)
-    cv = code_values[codebook_ids].astype(np.int64)
-    val_len = np.take_along_axis(cl, safe, axis=1) * coded
-    val_code = np.take_along_axis(cv, safe, axis=1) * coded
-    starts = header_bits + np.cumsum(val_len, axis=1) - val_len
-    payload_end = header_bits + val_len.sum(axis=1)
+    book = codebook_ids[:, None]
+    has_slot = corrections != 0
 
-    block_end = payload_end + out_counts.astype(np.int64) * config.outlier_bits
-    if np.any(block_end > block_bits):
-        raise OverflowError("block budget exceeded")
-
-    _scatter_bits(
-        bits,
-        val_code,
-        val_len,
-        starts,
-        np.broadcast_to(rows[:, None], (G, group_size)),
-        int(config.max_code_len),
-    )
-
-    # Outlier slots: stable partition brings outlier positions (ascending)
-    # to the front of each row.
-    max_count = int(out_counts.max()) if G else 0
-    if max_count:
-        order = np.argsort(corrections == 0, axis=1, kind="stable")
-        slot_pos = order[:, :max_count].astype(np.int64)
-        slot_q = np.take_along_axis(corrections, order, axis=1)[:, :max_count]
-        slot_valid = np.arange(max_count) < out_counts[:, None].astype(np.int64)
-        w = config.outlier_bits
-        slot_val = (slot_pos << 8) | (slot_q.astype(np.int64) & 0xFF)
-        slot_start = payload_end[:, None] + np.arange(max_count) * w
-        widths = np.where(slot_valid, w, 0)
-        _scatter_bits(
-            bits,
-            slot_val,
-            widths,
-            slot_start,
-            np.broadcast_to(rows[:, None], (G, max_count)),
-            w,
+    num_fields = 5 + 2 * group_size
+    values = np.empty((G, num_fields), dtype=np.int64)
+    widths = np.empty((G, num_fields), dtype=np.int64)
+    values[:, 0] = np.float16(scales).view(np.uint16)
+    values[:, 1] = scale_pos
+    values[:, 2] = pattern_ids
+    values[:, 3] = codebook_ids
+    values[:, 4] = has_slot.sum(axis=1)
+    widths[:, :5] = _header_widths(config)
+    values[:, 5 : 5 + group_size] = code_values[book, safe] * coded
+    widths[:, 5 : 5 + group_size] = code_lengths[book, safe] * coded
+    values[:, 5 + group_size :] = (
+        (np.arange(group_size) << 8) | (corrections & 0xFF)
+    ) * has_slot
+    widths[:, 5 + group_size :] = has_slot * config.outlier_bits
+    if G and int(widths.max()) > _MAX_FIELD_BITS:
+        raise ValueError(
+            f"field wider than {_MAX_FIELD_BITS} bits; scalar path required"
         )
 
-    return np.packbits(bits, axis=1)
+    ends = widths.cumsum(axis=1)
+    if (ends[:, -1] > block_bits).any():
+        raise OverflowError("block budget exceeded")
+    starts = ends - widths
+    # Each field lands left-aligned in the 32-bit window that begins at its
+    # 16-bit word; the window's two halves go to that word and the next.
+    # Fields never overlap, so summing the halves per word is OR-ing them.
+    window = values << (32 - widths - (starts & 15))
+    stride = (block_bits >> 4) + 2
+    word = (starts >> 4) + np.arange(G)[:, None] * stride
+    words = np.bincount(
+        word.ravel(), weights=(window >> 16).ravel(), minlength=G * stride
+    )
+    words += np.bincount(
+        word.ravel() + 1, weights=(window & 0xFFFF).ravel(), minlength=G * stride
+    )
+    block_bytes = words.reshape(G, stride).astype(">u2").view(np.uint8)
+    return np.ascontiguousarray(block_bytes[:, : config.block_bytes])
 
 
-def _gather_bits(
-    bits: np.ndarray, starts: np.ndarray, width: int, rows: np.ndarray
-) -> np.ndarray:
-    """Read ``width``-bit MSB-first integers at per-row bit offsets."""
-    window = bits[rows[:, None], starts[:, None] + np.arange(width)]
-    weights = 1 << np.arange(width - 1, -1, -1)
-    return (window.astype(np.int64) * weights).sum(axis=1)
-
-
-#: Below this many blocks the per-group big-integer decode beats the fixed
-#: overhead of the vectorized lockstep loop (the decode-loop steady state
-#: of one new token per read sits far under it).
-_SMALL_DECODE_BLOCKS = 32
+#: At or below this many blocks the per-group big-integer decode beats the
+#: vectorized lockstep loop.  Measured min-of-7 on one host, scalar vs
+#: vectorized µs per call: 1 block 36 / 370, 8 blocks 245 / 335, 10 blocks
+#: 310 / 335, 12 blocks 380 / 340, 32 blocks 1000 / 420, 64 blocks 1930 /
+#: 520, 128 blocks 3860 / 780, 320 blocks 9700 / 1600 — about 31 µs per
+#: block against 0.31 ms per call plus 4 µs per block, crossing between 10
+#: and 12.  The decode loop's one new token per read stays scalar; a
+#: whole-prompt or whole-page decode goes vectorized.
+_SMALL_DECODE_BLOCKS = 10
 
 
 def _unpack_blocks_small(config, blocks, sym_lists, len_lists):
@@ -301,6 +286,7 @@ def _unpack_blocks_small(config, blocks, sym_lists, len_lists):
     window_bits = int(config.max_code_len)
     window_mask = (1 << window_bits) - 1
     group_size = config.group_size
+    outlier_bits = config.outlier_bits
 
     scale_u16 = np.empty(G, dtype=np.uint16)
     scale_pos = np.empty(G, dtype=np.int64)
@@ -326,6 +312,8 @@ def _unpack_blocks_small(config, blocks, sym_lists, len_lists):
         cid = read(config.codebook_id_bits)
         codebook_ids[g] = cid
         count = read(config.outlier_count_bits)
+        if cid >= len(sym_lists) or spos >= group_size:
+            raise ValueError("corrupt block: header field out of range")
         stab = sym_lists[cid]
         ltab = len_lists[cid]
         row = symbols[g]
@@ -333,6 +321,8 @@ def _unpack_blocks_small(config, blocks, sym_lists, len_lists):
             if pos == spos:
                 row[pos] = SCALE_SYMBOL
                 continue
+            # A cursor a damaged payload pushed past the block reads zero
+            # windows from here on; the check after the loop reports it.
             avail = total_bits - off
             if avail >= window_bits:
                 window = (big >> (avail - window_bits)) & window_mask
@@ -343,13 +333,26 @@ def _unpack_blocks_small(config, blocks, sym_lists, len_lists):
                 raise ValueError("corrupt block: no canonical code matched")
             row[pos] = stab[window]
             off += length
+        if off + count * outlier_bits > total_bits:
+            raise ValueError(
+                "corrupt block: payload and outlier slots run past the block"
+            )
         for _ in range(count):
             pos = read(config.scale_pos_bits)
             q = read(8)
+            if pos >= group_size:
+                raise ValueError("corrupt block: outlier position out of range")
             corrections[g, pos] = q - 256 if q >= 128 else q
 
     scales = scale_u16.view(np.float16).astype(np.float32)
     return scales, scale_pos, pattern_ids, codebook_ids, symbols, corrections
+
+
+def _read_fields(words: np.ndarray, rows, starts, width: int):
+    """``width``-bit MSB-first integers at bit offsets ``starts`` of each
+    row, read through the 32-bit word that begins at the field's byte."""
+    shift = 32 - width - (starts & 7)
+    return (words[rows, starts >> 3] >> shift) & ((1 << width) - 1)
 
 
 def unpack_blocks(
@@ -363,95 +366,105 @@ def unpack_blocks(
     Returns ``(scales, scale_pos, pattern_ids, codebook_ids, symbols,
     corrections)`` with ``corrections`` as the dense (G, group_size)
     outlier matrix.  The Huffman stage advances all groups in lockstep —
-    one vectorized window lookup per value position — so the Python-level
+    one vectorized window lookup per coded value — so the Python-level
     work is O(group_size), not O(total bits).  Small stacks short-circuit
     to a per-group big-integer decode with the same tables.
+
+    A damaged block raises ``ValueError("corrupt block: ...")`` from either
+    path — a window no code matches, a header id or position out of range,
+    or a payload / outlier cursor past the end of the block — and never
+    reads outside its own bytes meanwhile.
     """
     window_bits = int(config.max_code_len)
     if tables is None:
         tables = window_tables(code_lengths, window_bits)
     sym_table, len_table = tables[0], tables[1]
+    blocks = np.ascontiguousarray(blocks, dtype=np.uint8)
 
     if blocks.shape[0] <= _SMALL_DECODE_BLOCKS:
         if len(tables) >= 4:
             sym_lists, len_lists = tables[2], tables[3]
         else:  # a bare (sym, len) array pair is still accepted
             sym_lists, len_lists = sym_table.tolist(), len_table.tolist()
-        return _unpack_blocks_small(
-            config, np.ascontiguousarray(blocks, dtype=np.uint8),
-            sym_lists, len_lists,
-        )
+        return _unpack_blocks_small(config, blocks, sym_lists, len_lists)
 
-    blocks = np.ascontiguousarray(blocks, dtype=np.uint8)
-    G = blocks.shape[0]
-    bits = np.unpackbits(blocks, axis=1)
-    # Slack so speculative windows past the last code never index OOB.
-    pad = max(window_bits, config.outlier_bits)
-    bits = np.concatenate([bits, np.zeros((G, pad), dtype=np.uint8)], axis=1)
-    rows = np.arange(G, dtype=np.int64)
+    G, block_bytes = blocks.shape
+    group_size = config.group_size
+    block_bits = config.block_bits
+    outlier_bits = config.outlier_bits
+    if max(window_bits, outlier_bits) > 25:
+        raise ValueError("field wider than 25 bits; scalar path required")
+    rows = np.arange(G)
 
-    header_bits = config.header_bits
-    hj = np.arange(header_bits)
-    header = (
-        bits[:, :header_bits].astype(np.uint64)
-        << (header_bits - 1 - hj).astype(np.uint64)
-    ).sum(axis=1)
-    out_counts = (header & np.uint64(config.max_outliers)).astype(np.int64)
-    header >>= np.uint64(config.outlier_count_bits)
-    codebook_ids = (
-        header & np.uint64((1 << config.codebook_id_bits) - 1)
-    ).astype(np.int64)
-    header >>= np.uint64(config.codebook_id_bits)
-    pattern_ids = (
-        header & np.uint64((1 << config.pattern_id_bits) - 1)
-    ).astype(np.int64)
-    header >>= np.uint64(config.pattern_id_bits)
-    scale_pos = (
-        header & np.uint64((1 << config.scale_pos_bits) - 1)
-    ).astype(np.int64)
-    header >>= np.uint64(config.scale_pos_bits)
-    scales = (
-        (header & np.uint64(0xFFFF))
-        .astype(np.uint16)
-        .view(np.float16)
-        .astype(np.float32)
+    # The big-endian 32-bit word starting at every byte.  The zero slack
+    # is as long as the longest walk a payload can take (every code at the
+    # full window width), so a cursor that damaged data pushed past the
+    # block reads zeros of its own row, never the next block.
+    reach = config.header_bits + group_size * window_bits
+    padded = np.zeros((G, max(block_bytes, reach // 8 + 1) + 4), dtype=np.uint32)
+    padded[:, :block_bytes] = blocks
+    words = (
+        (padded[:, :-3] << 24)
+        | (padded[:, 1:-2] << 16)
+        | (padded[:, 2:-1] << 8)
+        | padded[:, 3:]
     )
 
-    # Huffman payload: every group consumes one code per position, all
-    # groups in lockstep.  All speculative windows are precomputed in one
-    # vectorized sweep (every bit offset's next ``window_bits`` bits as an
-    # integer), so each lockstep iteration is only gathers and adds.
-    weights = 1 << np.arange(window_bits - 1, -1, -1)
-    windows = np.lib.stride_tricks.sliding_window_view(bits, window_bits, axis=1)
-    windows = windows @ weights  # (G, num_offsets)
-    base = rows * windows.shape[1]
+    start = np.int64(0)
+    fields = []
+    for width in _header_widths(config):
+        fields.append(_read_fields(words, rows, start, width).astype(np.int64))
+        start += width
+    scale_u16, scale_pos, pattern_ids, codebook_ids, out_counts = fields
+    scales = scale_u16.astype(np.uint16).view(np.float16).astype(np.float32)
+    if (codebook_ids >= sym_table.shape[0]).any() or (scale_pos >= group_size).any():
+        raise ValueError("corrupt block: header field out of range")
+
+    # Huffman payload: every group consumes one code per coded position,
+    # all groups in lockstep.  The speculative window at every bit offset
+    # is precomputed in one sweep, so each lockstep iteration is only
+    # gathers and adds: no per-position check, no branch on the scale slot
+    # (which carries no code and is spliced in afterwards).
+    phase = (32 - window_bits - np.arange(8)).astype(np.uint32)
+    windows = (words[:, :, None] >> phase) & np.uint32((1 << window_bits) - 1)
     flat_windows = windows.ravel()
-    flat_syms = sym_table[codebook_ids]  # (G, 2**window_bits)
-    flat_lens = len_table[codebook_ids]
-    offsets = np.full(G, header_bits, dtype=np.int64)
-    symbols = np.empty((G, config.group_size), dtype=np.int64)
-    for pos in range(config.group_size):
-        at_scale = scale_pos == pos
-        window = flat_windows[base + offsets]
-        sym = np.take_along_axis(flat_syms, window[:, None], axis=1)[:, 0]
-        length = np.take_along_axis(flat_lens, window[:, None], axis=1)[:, 0]
-        if np.any((length == 0) & ~at_scale):
-            raise ValueError("corrupt block: no canonical code matched")
-        symbols[:, pos] = np.where(at_scale, SCALE_SYMBOL, sym)
-        offsets += np.where(at_scale, 0, length)
+    row_base = rows * (windows.shape[1] * 8)
+    table_base = codebook_ids << window_bits
+    flat_syms = sym_table.ravel()
+    flat_lens = len_table.ravel()
+    cursor = row_base + config.header_bits
+    codes = np.empty((group_size - 1, G), dtype=np.int64)
+    for code in codes:
+        entry = table_base + flat_windows[cursor]
+        code[:] = flat_syms[entry]
+        cursor += flat_lens[entry]
+    if (codes < 0).any():
+        raise ValueError("corrupt block: no canonical code matched")
+    payload_end = cursor - row_base
+    if (payload_end + out_counts * outlier_bits > block_bits).any():
+        raise ValueError(
+            "corrupt block: payload and outlier slots run past the block"
+        )
+    cols = np.arange(group_size)
+    source = np.minimum(cols - (cols > scale_pos[:, None]), group_size - 2)
+    symbols = codes[source, rows[:, None]]
+    symbols[rows, scale_pos] = SCALE_SYMBOL
 
     # Outlier slots.
-    corrections = np.zeros((G, config.group_size), dtype=np.int64)
-    max_count = int(out_counts.max()) if G else 0
-    for k in range(max_count):
-        valid = k < out_counts
-        starts = np.where(valid, offsets + k * config.outlier_bits, 0)
-        slot = _gather_bits(bits, starts, config.outlier_bits, rows)
+    corrections = np.zeros((G, group_size), dtype=np.int64)
+    max_count = int(out_counts.max())
+    if max_count:
+        k = np.arange(max_count)
+        slot_rows, slot_k = np.nonzero(k < out_counts[:, None])
+        slot = _read_fields(
+            words, slot_rows, payload_end[slot_rows] + slot_k * outlier_bits,
+            outlier_bits,
+        ).astype(np.int64)
         out_pos = slot >> 8
         out_q = slot & 0xFF
-        out_q = np.where(out_q >= 128, out_q - 256, out_q)
-        vr = np.flatnonzero(valid)
-        corrections[vr, out_pos[vr]] = out_q[vr]
+        if (out_pos >= group_size).any():
+            raise ValueError("corrupt block: outlier position out of range")
+        corrections[slot_rows, out_pos] = np.where(out_q >= 128, out_q - 256, out_q)
 
     return scales, scale_pos, pattern_ids, codebook_ids, symbols, corrections
 
@@ -473,6 +486,8 @@ def unpack_block(config, data: bytes, code_lengths: np.ndarray, tables=None):
 
     if tables is None:
         tables = decode_tables(code_lengths)
+    if codebook_id >= len(tables) or scale_pos >= config.group_size:
+        raise ValueError("corrupt block: header field out of range")
     table = tables[codebook_id]
     symbols = np.zeros(config.group_size, dtype=np.int64)
     for pos in range(config.group_size):
@@ -496,4 +511,6 @@ def unpack_block(config, data: bytes, code_lengths: np.ndarray, tables=None):
     for i in range(num_outliers):
         outlier_pos[i] = reader.read(config.scale_pos_bits)
         outlier_q[i] = reader.read_signed(8)
+    if np.any(outlier_pos >= config.group_size):
+        raise ValueError("corrupt block: outlier position out of range")
     return scale, scale_pos, pattern_id, codebook_id, symbols, outlier_pos, outlier_q

@@ -11,6 +11,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,15 +128,35 @@ def plan_encoding(
         )
 
     G, group_size = symbols.shape
+    rows = np.arange(G)[:, None]
+    cols = np.arange(group_size)
     coded_mask = symbols != SCALE_SYMBOL
     safe_syms = np.where(coded_mask, symbols, 0)
+    lengths = meta.code_lengths  # (H, num_symbols) int64
+    header_bits = config.header_bits
 
     # Choose the codebook that encodes each group's nearest-symbol stream
-    # shortest.
-    lengths = meta.codebook_lengths.astype(np.int64)  # (H, num_symbols)
-    per_val = lengths[:, safe_syms] * coded_mask[None, :, :]  # (H, G, gs)
-    totals = per_val.sum(axis=2)  # (H, G)
-    codebook_ids = np.argmin(totals, axis=0)
+    # shortest: a stream's length under a codebook is its symbol histogram
+    # (the scale slot's bin dropped) times that codebook's code lengths.
+    bins = SCALE_SYMBOL + 1
+    hist = np.bincount(
+        (rows * bins + symbols).ravel(), minlength=G * bins
+    ).reshape(G, bins)[:, : lengths.shape[1]]
+    totals = lengths @ hist.T  # (H, G)
+    codebook_ids = totals.argmin(axis=0)
+    bits_used = totals.min(axis=0) + header_bits
+
+    def payload_bits(sel: np.ndarray) -> np.ndarray:
+        """Block bits of groups ``sel`` under their current symbols/codebook."""
+        value_bits = lengths[codebook_ids[sel][:, None], safe_syms[sel]]
+        return (value_bits * coded_mask[sel]).sum(axis=1) + header_bits
+
+    def centroid_dist2(sel: np.ndarray) -> np.ndarray:
+        """Squared distance of each value of groups ``sel`` to each centroid
+        of its pattern, (n, group_size, 15) — built only for the groups rate
+        control touches, never for the whole tensor."""
+        cents = meta.patterns[pattern_ids[sel]]
+        return (norm.normalized[sel][:, :, None] - cents[:, None, :]) ** 2
 
     # Per-group rate control: groups whose nearest-centroid stream fits
     # the payload budget (minus the reserved outlier slots) are untouched;
@@ -145,61 +166,45 @@ def plan_encoding(
     # adjacent centroid at a near-boundary value; remaps that skip past a
     # neighbor genuinely lose resolution and are counted as the "clipped"
     # symbols of the paper's Step 9.
-    cents = meta.patterns[pattern_ids]  # (G, 15)
-    dist2 = (norm.normalized[:, :, None] - cents[:, None, :]) ** 2
-
-    val_lengths = np.take_along_axis(
-        lengths[codebook_ids], safe_syms, axis=1
-    ) * coded_mask
-    bits_used = val_lengths.sum(axis=1) + config.header_bits
     target_bits = config.block_bits - (
         config.outlier_reserve_slots * config.outlier_bits
     )
 
     clipped = np.zeros(G, dtype=np.int64)
     for _ in range(8):  # almost always one pass; stragglers re-enter
-        over = np.flatnonzero(bits_used > target_bits)
+        over = (bits_used > target_bits).nonzero()[0]
         if over.size == 0:
             break
         n = over.size
-        gs = config.group_size
+        local = np.arange(n)[:, None]
+        dist2 = centroid_dist2(over)
         cb = lengths[codebook_ids[over]]  # (n, 15)
         cur = safe_syms[over]  # (n, gs)
-        cur_len = np.take_along_axis(cb, cur, axis=1)  # (n, gs)
-        cur_dist = np.take_along_axis(dist2[over], cur[:, :, None], axis=2)[
-            :, :, 0
-        ]
+        cur_len = cb[local, cur]  # (n, gs)
+        cur_dist = dist2[local, cols, cur]
         # Best strictly-shorter alternative per value.
         shorter = cb[:, None, :] < cur_len[:, :, None]  # (n, gs, 15)
-        alt_cost = np.where(shorter, dist2[over], np.inf)
-        alt = np.argmin(alt_cost, axis=2)  # (n, gs)
-        alt_dist = np.take_along_axis(dist2[over], alt[:, :, None], axis=2)[
-            :, :, 0
-        ]
-        alt_len = np.take_along_axis(cb, alt, axis=1)
+        alt = np.argmin(np.where(shorter, dist2, np.inf), axis=2)  # (n, gs)
+        alt_dist = dist2[local, cols, alt]
+        alt_len = cb[local, alt]
         saved = (cur_len - alt_len).astype(np.float64)
         feasible = (saved > 0) & coded_mask[over]
         added = np.where(feasible, alt_dist - cur_dist, np.inf)
         ratio = added / np.maximum(saved, 1e-9)
-        order = np.argsort(ratio, axis=1, kind="stable")
-        saved_sorted = np.take_along_axis(
-            np.where(feasible, saved, 0.0), order, axis=1
-        )
+        order = ratio.argsort(axis=1, kind="stable")
+        saved_sorted = np.where(feasible, saved, 0.0)[local, order]
         need = (bits_used[over] - target_bits).astype(np.float64)
-        cumsave = np.cumsum(saved_sorted, axis=1)
+        cumsave = saved_sorted.cumsum(axis=1)
         # Minimal prefix of the ratio-sorted list covering the deficit.
         take_sorted = (cumsave - saved_sorted < need[:, None]) & (
             saved_sorted > 0
         )
-        take = np.zeros((n, gs), dtype=bool)
-        np.put_along_axis(take, order, take_sorted, axis=1)
-        new_syms = np.where(take, alt, cur)
-        symbols[over] = np.where(coded_mask[over], new_syms, symbols[over])
-        safe_syms[over] = np.where(coded_mask[over], symbols[over], 0)
-        val_lengths[over] = np.take_along_axis(
-            lengths[codebook_ids[over]], safe_syms[over], axis=1
-        ) * coded_mask[over]
-        bits_used[over] = val_lengths[over].sum(axis=1) + config.header_bits
+        take = np.zeros((n, group_size), dtype=bool)
+        take[local, order] = take_sorted
+        new_syms = np.where(take, alt, cur)  # still 0 at the scale slot
+        symbols[over] = np.where(coded_mask[over], new_syms, SCALE_SYMBOL)
+        safe_syms[over] = new_syms
+        bits_used[over] = payload_bits(over)
         clipped[over] += (take & (np.abs(new_syms - cur) > 1)).sum(axis=1)
 
     # Guaranteed-fit fallback: a group the greedy loop could not shed below
@@ -207,7 +212,7 @@ def plan_encoding(
     # length, yet still over) would overflow the 64-byte writer.  Force such
     # groups onto the codebook with the globally shortest codes and map
     # every value to the nearest of that codebook's minimum-length symbols.
-    over = np.flatnonzero(bits_used > config.block_bits)
+    over = (bits_used > config.block_bits).nonzero()[0]
     if over.size:
         min_len = lengths.min(axis=1)  # (H,)
         forced_cb = np.where(
@@ -217,16 +222,13 @@ def plan_encoding(
         )
         cb = lengths[forced_cb]  # (n, num_symbols)
         is_min = cb == cb.min(axis=1, keepdims=True)
-        cost = np.where(is_min[:, None, :], dist2[over], np.inf)
+        cost = np.where(is_min[:, None, :], centroid_dist2(over), np.inf)
         forced = np.argmin(cost, axis=2)
         cur = safe_syms[over]
         codebook_ids[over] = forced_cb
-        symbols[over] = np.where(coded_mask[over], forced, symbols[over])
-        safe_syms[over] = np.where(coded_mask[over], symbols[over], 0)
-        val_lengths[over] = np.take_along_axis(
-            lengths[codebook_ids[over]], safe_syms[over], axis=1
-        ) * coded_mask[over]
-        bits_used[over] = val_lengths[over].sum(axis=1) + config.header_bits
+        symbols[over] = np.where(coded_mask[over], forced, SCALE_SYMBOL)
+        safe_syms[over] = np.where(coded_mask[over], forced, 0)
+        bits_used[over] = payload_bits(over)
         clipped[over] += ((np.abs(forced - cur) > 1) & coded_mask[over]).sum(axis=1)
         if np.any(bits_used[over] > config.block_bits):
             raise ValueError(
@@ -234,32 +236,32 @@ def plan_encoding(
                 "every codebook overflow the 64-byte budget"
             )
 
-    # Reconstruction (normalized domain) from the final symbols.
-    recon_norm = meta.patterns[pattern_ids[:, None], safe_syms]
-    recon_norm = np.where(coded_mask, recon_norm, 0.0).astype(np.float32)
-
     # Outlier padding: leftover bits hold (position, correction) slots for
-    # the values with the largest (activation-weighted) residuals.
-    resid = np.where(coded_mask, norm.normalized - recon_norm, 0.0)
-    q = np.clip(
-        np.rint(resid * config.correction_scale), -127, 127
+    # the values with the largest (activation-weighted) residuals of the
+    # normalized-domain reconstruction from the final symbols.
+    recon_norm = meta.patterns[pattern_ids[:, None], safe_syms]
+    resid = np.where(
+        coded_mask,
+        norm.normalized - recon_norm.astype(np.float32, copy=False),
+        0.0,
+    )
+    q = np.minimum(
+        np.maximum(np.rint(resid * config.correction_scale), -127), 127
     ).astype(np.int64)
     capacity = np.minimum(
         (config.block_bits - bits_used) // config.outlier_bits,
         config.max_outliers,
-    ).astype(np.int64)
+    )
     priority = np.abs(resid)
     if aw is not None:
         priority = priority * (aw + 1e-12)
-    order = np.argsort(-priority, axis=1, kind="stable")
-    eligible = (q != 0) & coded_mask
-    elig_sorted = np.take_along_axis(eligible, order, axis=1)
-    rank = np.cumsum(elig_sorted, axis=1)
-    take_sorted = elig_sorted & (rank <= capacity[:, None])
-    take = np.zeros_like(eligible)
-    np.put_along_axis(take, order, take_sorted, axis=1)
+    order = (-priority).argsort(axis=1, kind="stable")
+    eligible_sorted = (q != 0)[rows, order]  # q is 0 at the scale slot
+    rank = eligible_sorted.cumsum(axis=1)
+    take = np.zeros((G, group_size), dtype=bool)
+    take[rows, order] = eligible_sorted & (rank <= capacity[:, None])
     corrections = np.where(take, q, 0)
-    padded = take.sum(axis=1).astype(np.int64)
+    padded = take.sum(axis=1)
 
     return EncodingPlan(
         shape=tensor.shape,
@@ -362,10 +364,10 @@ class EccoTensorCodec:
             plan.codebook_ids,
             plan.symbols,
             plan.corrections,
-            meta.codebook_lengths,
-            meta.codebook_codes,
+            meta.code_lengths,
+            meta.code_values,
         )
-        size = float(np.prod(plan.shape))
+        size = float(math.prod(plan.shape))
         return CompressedTensor(
             blocks=blocks,
             shape=plan.shape,
@@ -388,6 +390,8 @@ class EccoTensorCodec:
                 tables=self.window_tables,
             )
         )
+        if (pattern_ids >= meta.num_patterns).any():
+            raise ValueError("corrupt block: pattern id out of range")
         return EncodingPlan(
             shape=shape,
             pad=pad,

@@ -5,11 +5,14 @@ library; ``KVCacheStream`` is the per-(layer, head) cache that compresses
 every generated token's key and value vectors as they are appended and
 serves decompressed reads back to attention.
 
-The decode loop is amortized O(new tokens): each compressed segment is
-decoded exactly once into a decoded-segment cache, and attention reads
-only concatenate already-decoded tokens with whatever arrived since the
-last read.  ``invalidate_decoded`` is the hook a future eviction pass uses
-to drop stale decoded state after rewriting segments.
+The decode loop is amortized O(new tokens): per side the stream keeps a
+read cursor (segments and tokens already decoded) and a decoded buffer
+grown geometrically.  A read decodes only the segments past the cursor,
+writes them behind the rows already there and returns a read-only view of
+the filled prefix — no walk over the segment list and no copy of the
+rows decoded earlier, so its cost does not grow with the context.
+``invalidate_decoded`` is the hook eviction and segment-rewriting passes
+use to roll the cursor back.
 """
 
 from __future__ import annotations
@@ -206,12 +209,13 @@ class KVCacheStream:
     """An append-only compressed KV cache for one attention head group.
 
     Reads return (num_tokens, dim) arrays — the shape attention consumes.
-    Decoded segments are cached: ``read_keys``/``read_values`` decode only
+    Decoded rows are kept: ``read_keys``/``read_values`` decode only the
     segments appended since the previous read, so a T-step decode loop
-    performs O(T) total block decodes instead of O(T^2).  The
-    ``decoded_tokens`` counters expose exactly how much decode work was
-    done, and ``invalidate_decoded`` drops the cache (the hook eviction or
-    segment-rewriting passes must call).
+    performs O(T) total block decodes instead of O(T^2), and a read costs
+    O(fresh segments) whatever the context length.  The ``decoded_tokens``
+    counters expose exactly how much decode work was done, and
+    ``invalidate_decoded`` rolls the read cursor back (the hook eviction
+    or segment-rewriting passes must call).
     """
 
     def __init__(self, key_codec: KVCacheCodec, value_codec: KVCacheCodec):
@@ -220,12 +224,17 @@ class KVCacheStream:
         self._segments: dict[str, list[CompressedTensor]] = {
             "keys": [], "values": []
         }
-        self._cache: dict[str, np.ndarray | None] = {
+        #: Decoded rows per side, in a buffer that grows by half when full.
+        #: Rows below the cursor are never written again, so the read-only
+        #: prefix views handed to callers stay valid as the stream grows.
+        self._buffer: dict[str, np.ndarray | None] = {
             "keys": None, "values": None
         }
-        #: Decoded-cache coverage in tokens, per side.  Always sits on a
-        #: segment boundary of the current segment list (reads decode whole
-        #: segments; invalidation rounds down to a boundary).
+        #: The read cursor per side: how many segments, and how many tokens,
+        #: are decoded into the buffer.  Always on a segment boundary of the
+        #: current segment list (reads decode whole segments; invalidation
+        #: rounds down to a boundary; ``coalesce`` re-counts it).
+        self._cached_segments = {"keys": 0, "values": 0}
         self._cached_tokens = {"keys": 0, "values": 0}
         #: Tokens actually run through block decode, per side (the decode
         #: work counter the O(new tokens) guarantee is tested against).
@@ -246,7 +255,11 @@ class KVCacheStream:
         segments: list[CompressedTensor], token_limit: int
     ) -> tuple[int, int]:
         """(index, tokens) of the longest segment prefix of <= token_limit
-        tokens — the boundary a mid-segment position rounds down to."""
+        tokens — the boundary a mid-segment position rounds down to.
+
+        A walk over the segment list: only the cursor rewrites
+        (``_truncate_cache``, ``coalesce``) may call it, never a read.
+        """
         covered = 0
         for idx, segment in enumerate(segments):
             tokens = segment.token_shape[0]
@@ -310,55 +323,61 @@ class KVCacheStream:
             return 1.0
         return self.original_nbytes / self.compressed_nbytes
 
-    def _refresh(self, side: str, codec: KVCacheCodec) -> np.ndarray | None:
+    def _refresh(self, side: str, codec: KVCacheCodec) -> np.ndarray:
+        """Decode the segments past the cursor; return the decoded prefix."""
         segments = self._segments[side]
-        idx, covered = self._prefix_index(segments, self._cached_tokens[side])
-        if covered < self._cached_tokens[side]:
-            # Defensive: a rewrite left the boundary mid-segment; roll the
-            # cache back to the last whole-segment boundary.
-            self._truncate_cache(side, covered)
-        fresh = segments[idx:]
-        if fresh:
-            decoded = codec.decode_all(fresh).astype(np.float32)
+        done = self._cached_segments[side]
+        cached = self._cached_tokens[side]
+        buffer = self._buffer[side]
+        if done < len(segments):
+            decoded = codec.decode_all(segments[done:])
+            total = cached + decoded.shape[0]
+            if buffer is None or total > buffer.shape[0]:
+                # Geometric growth keeps appends amortized O(1).  Half again
+                # (not double) halves the idle slack: decoded float32 rows
+                # are the largest thing a finished stream keeps alive.
+                capacity = max(total, cached + max(cached // 2, 16))
+                grown = np.empty((capacity, decoded.shape[1]), dtype=np.float32)
+                if cached:
+                    grown[:cached] = buffer[:cached]
+                buffer = self._buffer[side] = grown
+            buffer[cached:total] = decoded
             self.decoded_tokens[side] += decoded.shape[0]
-            cache = self._cache[side]
-            cache = (
-                decoded
-                if cache is None
-                else np.concatenate([cache, decoded], axis=0)
-            )
-            cache.flags.writeable = False
-            self._cache[side] = cache
-            self._cached_tokens[side] = covered + sum(
-                c.token_shape[0] for c in fresh
-            )
-        return self._cache[side]
+            self._cached_segments[side] = len(segments)
+            self._cached_tokens[side] = cached = total
+        if buffer is None:
+            return np.zeros((0, 0), dtype=np.float32)
+        view = buffer[:cached]
+        view.flags.writeable = False
+        return view
 
-    def _truncate_cache(self, side: str, tokens: int) -> None:
-        if self._cached_tokens[side] <= tokens:
+    def _truncate_cache(self, side: str, token_limit: int) -> None:
+        """Roll one side's cursor back to the last segment boundary at or
+        below ``token_limit`` (a no-op when it is already there)."""
+        if self._cached_tokens[side] <= token_limit:
             return
-        cache = self._cache[side]
-        self._cache[side] = cache[:tokens] if tokens else None
-        self._cached_tokens[side] = tokens
+        idx, covered = self._prefix_index(self._segments[side], token_limit)
+        # Keep exactly the surviving rows: arrays already handed out alias
+        # the rows past them, so those must not be decoded into again.  A
+        # buffer with no spare capacity makes the next read grow into
+        # fresh memory instead.
+        self._buffer[side] = self._buffer[side][:covered] if covered else None
+        self._cached_segments[side] = idx
+        self._cached_tokens[side] = covered
 
     def read_keys(self) -> np.ndarray:
         """The decoded (num_tokens, dim) key cache attention reads.
 
         Only tokens appended since the last read are decoded; the rest
-        come from the decoded-segment cache.  The returned array is
-        read-only (it is the cache itself, not a copy).
+        are already in the decoded buffer.  The returned array is a
+        read-only view of that buffer, not a copy, and later appends,
+        invalidations and rewrites never change it.
         """
-        cache = self._refresh("keys", self.key_codec)
-        if cache is None:
-            return np.zeros((0, 0), dtype=np.float32)
-        return cache
+        return self._refresh("keys", self.key_codec)
 
     def read_values(self) -> np.ndarray:
         """The decoded (num_tokens, dim) value cache attention reads."""
-        cache = self._refresh("values", self.value_codec)
-        if cache is None:
-            return np.zeros((0, 0), dtype=np.float32)
-        return cache
+        return self._refresh("values", self.value_codec)
 
     def invalidate_decoded(self, from_token: int | None = None) -> None:
         """Drop cached decoded state from ``from_token`` onward.
@@ -371,14 +390,9 @@ class KVCacheStream:
         segment-granular), so at most one extra segment is re-decoded.
         The compressed segments are untouched either way.
         """
-        if from_token is None or from_token <= 0:
-            for side in ("keys", "values"):
-                self._cache[side] = None
-                self._cached_tokens[side] = 0
-            return
+        limit = 0 if from_token is None else max(from_token, 0)
         for side in ("keys", "values"):
-            _, covered = self._prefix_index(self._segments[side], from_token)
-            self._truncate_cache(side, covered)
+            self._truncate_cache(side, limit)
 
     def coalesce(
         self, from_token: int
@@ -406,6 +420,8 @@ class KVCacheStream:
         self._segments["keys"][idx:] = [merged_k]
         self._segments["values"][idx:] = [merged_v]
         for side in ("keys", "values"):
-            if from_token < self._cached_tokens[side] < self._num_tokens:
+            if self._cached_tokens[side] == self._num_tokens:
+                self._cached_segments[side] = idx + 1
+            else:
                 self._truncate_cache(side, from_token)
         return merged_k, merged_v

@@ -13,6 +13,7 @@ library with min/max pattern selection, fit on captured KV-cache data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,6 +49,11 @@ class TensorMeta:
             self.codebook_codes = np.stack(
                 [canonical_codes(row) for row in self.codebook_lengths]
             )
+        # Lookup forms of the codebooks for the planner and the packer,
+        # derived once here instead of on every call.  Not stored with the
+        # tensor, so :meth:`metadata_bits` does not count them.
+        self.code_lengths = self.codebook_lengths.astype(np.int64)
+        self.code_values = self.codebook_codes.astype(np.int64)
 
     @property
     def num_patterns(self) -> int:
@@ -123,7 +129,7 @@ def select_patterns_mse(
             pats = patterns[pid]  # (G, 15), a different pattern per group
             mids = (pats[:, 1:] + pats[:, :-1]) / 2.0
             syms = np.sum(normalized[:, :, None] > mids[:, None, :], axis=2)
-            cvals = np.take_along_axis(pats, syms, axis=1)
+            cvals = pats[rows[:, None], syms]
             cost = np.sum((normalized - cvals) ** 2 * weights, axis=1)
             better = cost < best_cost
             best_cost[better] = cost[better]
@@ -142,6 +148,15 @@ def select_patterns_mse(
     return pattern_ids, symbols
 
 
+@lru_cache(maxsize=None)
+def _landmark_index(group_size: int, num_values: int) -> np.ndarray:
+    """Ranks of the sorted group the selector compares to the centroids:
+    the min, the max and evenly spaced order statistics between them."""
+    index = np.round(np.linspace(0, group_size - 1, num_values)).astype(int)
+    index.flags.writeable = False
+    return index
+
+
 def select_patterns_minmax(
     normalized: np.ndarray,
     absmax_pos: np.ndarray,
@@ -158,17 +173,21 @@ def select_patterns_minmax(
     quantifies.  Returns ``(pattern_ids, symbols, fitness)``.
     """
     num_groups, group_size = normalized.shape
-    num_values = patterns.shape[1]
     rows = np.arange(num_groups)
+    # The scale slot takes the group median (what ``np.median`` returns,
+    # read off the sorted group) so it does not pull a landmark outward.
+    ranked = np.sort(normalized, axis=1)
+    half = group_size // 2
+    if group_size % 2:
+        med = ranked[:, half]
+    else:
+        med = (ranked[:, half - 1] + ranked[:, half]) / 2
+    med = np.where(np.isnan(ranked[:, -1]), np.nan, med)
     work = normalized.copy()
-    med = np.median(normalized, axis=1)
     work[rows, absmax_pos] = med
-    landmarks = np.sort(work, axis=1)[
-        :, np.round(np.linspace(0, group_size - 1, num_values)).astype(int)
-    ]
-    fitness = np.sum(
-        (landmarks[:, None, :] - patterns[None, :, :]) ** 2, axis=2
-    )
+    work.sort(axis=1)
+    landmarks = work[:, _landmark_index(group_size, patterns.shape[1])]
+    fitness = ((landmarks[:, None, :] - patterns[None, :, :]) ** 2).sum(axis=2)
     # The two best-fitness patterns go through a trial quantization and
     # the lower-error one wins (the compressor's parallel encoders make
     # the second trial free); everything stays one pipeline pass.
@@ -178,20 +197,22 @@ def select_patterns_minmax(
         cand = np.zeros((num_groups, 1), dtype=np.int64)
     mask = np.ones_like(normalized, dtype=bool)
     mask[rows, absmax_pos] = False
-    best_cost = np.full(num_groups, np.inf)
-    pattern_ids = np.zeros(num_groups, dtype=np.int64)
-    symbols = np.zeros((num_groups, group_size), dtype=np.int64)
-    for k in range(cand.shape[1]):
-        pid = cand[:, k]
-        pats = patterns[pid]
-        mids = (pats[:, 1:] + pats[:, :-1]) / 2.0
-        syms = np.sum(normalized[:, :, None] > mids[:, None, :], axis=2)
-        cvals = np.take_along_axis(pats, syms, axis=1)
-        cost = np.sum((normalized - cvals) ** 2 * mask, axis=1)
-        better = cost < best_cost
-        best_cost[better] = cost[better]
-        pattern_ids[better] = pid[better]
-        symbols[better] = syms[better]
+    pats = patterns[cand]  # (G, trials, 15)
+    mids = (pats[:, :, 1:] + pats[:, :, :-1]) / 2.0
+    # A value's symbol is how many midpoints lie below it, counted along
+    # the leading axis: 14 whole-array adds instead of a reduction per value.
+    syms = (
+        normalized[None, :, None, :] > mids.transpose(2, 0, 1)[:, :, :, None]
+    ).sum(axis=0)
+    cvals = patterns[cand[:, :, None], syms]
+    cost = ((normalized[:, None, :] - cvals) ** 2 * mask[:, None, :]).sum(axis=2)
+    # First strictly-lowest trial wins; a group none of whose trials has a
+    # finite cost (NaN input) keeps pattern 0 and all-zero symbols.
+    cost = np.where(cost < np.inf, cost, np.inf)
+    best = cost.argmin(axis=1)
+    scored = cost[rows, best] < np.inf
+    pattern_ids = np.where(scored, cand[rows, best], 0)
+    symbols = np.where(scored[:, None], syms[rows, best], 0)
     symbols[rows, absmax_pos] = SCALE_SYMBOL
     return pattern_ids, symbols, fitness
 

@@ -86,8 +86,7 @@ class HardwareCompressor:
         plan = plan_encoding(meta, group.ravel())
         coded = plan.symbols[0] != SCALE_SYMBOL
         safe = np.where(coded, plan.symbols[0], 0)
-        lengths = meta.codebook_lengths.astype(np.int64)
-        encoder_lengths = (lengths[:, safe] * coded[None, :]).sum(axis=1)
+        encoder_lengths = (meta.code_lengths[:, safe] * coded[None, :]).sum(axis=1)
 
         out_pos = np.flatnonzero(plan.corrections[0])
         data = pack_block(
@@ -135,6 +134,8 @@ class ParallelHuffmanDecoder:
         scale, pos, pid, cid, symbols, out_pos, out_q = unpack_block(
             config, bytes(data), meta.codebook_lengths
         )
+        if pid >= meta.num_patterns:
+            raise ValueError("corrupt block: pattern id out of range")
         corrections = np.zeros((1, config.group_size), dtype=np.int64)
         corrections[0, out_pos] = out_q
         plan = EncodingPlan(

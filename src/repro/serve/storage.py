@@ -651,7 +651,7 @@ class EccoRequestKV(RequestKV):
         tail = kv[self._num_prompt_pages * P :]
         if tail.shape[0]:
             segments.append(codec.encode_tokens(tail))
-        return segments, codec.decode_all(segments).astype(np.float32)
+        return segments, codec.decode_all(segments)
 
     def _init_layer_state(self):
         self._init_layer_state_empty()

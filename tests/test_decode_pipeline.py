@@ -8,6 +8,8 @@ preset, the batched token path emits the same blocks as the one-token
 loop, and KV stream reads decode each token exactly once.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,8 @@ from repro.core.blocks import (
     unpack_block,
     unpack_blocks,
 )
+from repro.core.codec import reconstruct
+from repro.hardware import ParallelHuffmanDecoder
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +124,99 @@ def test_force_fit_adversarial_group():
     assert compressed.blocks.shape == (1, config.block_bytes)
     decoded = codec.decode(compressed)
     assert np.array_equal(decoded, simulate_roundtrip(meta, group).values)
+
+
+#: blake2b-128 of the K then V blocks below, computed at the commit before
+#: the per-call cost of the codec was cut (PR 13's parent).
+GOLDEN_KV_BLOCKS = "e70c5b53336cd3181f7d61bc2c98d1a3"
+
+
+def test_encode_tokens_bytes_are_pinned_at_every_granularity():
+    """The encoder's output bytes are a contract: a seeded K and V tensor
+    encoded whole, in 8-token pages and one token at a time gives the same
+    blocks, and those blocks hash to the digest recorded before the planner,
+    selector and packer were rewritten — on data where both the rate-control
+    clip and the outlier slots fire."""
+    rng = np.random.default_rng(3)
+    digests = {n: hashlib.blake2b(digest_size=16) for n in ("whole", "pages", "tokens")}
+    clipped = padded = 0
+    for _side in ("keys", "values"):
+        scales = 2.0 ** rng.integers(-3, 4, size=(1, 128))
+        tensor = rng.standard_t(df=5, size=(64, 128)) * scales * 0.5
+        # A few flat-spectrum tokens: their long-code streams overrun the
+        # payload budget, so the rate-control loop has to clip.
+        tensor[::16] = rng.uniform(-4.0, 4.0, size=(4, 128))
+        tensor = tensor.astype(np.float32)
+        codec = KVCacheCodec(calibrate_kv_meta(tensor, seed=0))
+        plan = plan_encoding(codec.meta, tensor)
+        clipped += int(plan.clipped_symbols.sum())
+        padded += int(plan.padded_outliers.sum())
+        digests["whole"].update(codec.encode_tokens(tensor).blocks.tobytes())
+        for i in range(0, 64, 8):
+            page = codec.encode_tokens(tensor[i : i + 8])
+            digests["pages"].update(page.blocks.tobytes())
+        for i in range(64):
+            token = codec.encode_tokens(tensor[i : i + 1])
+            digests["tokens"].update(token.blocks.tobytes())
+    assert clipped > 0 and padded > 0
+    assert {d.hexdigest() for d in digests.values()} == {GOLDEN_KV_BLOCKS}
+
+
+def test_corrupt_blocks_raise_value_error_on_every_path(kv_codec):
+    """Seeded damage to the last of 40 blocks — bit flips anywhere, random
+    payload bytes under an intact header, a wholly random block — either
+    decodes (the same fields from the vectorized path, the scalar small
+    path and the hardware decoder) or raises ValueError("corrupt block"),
+    never IndexError and never a silent read of a neighbouring block."""
+    meta = kv_codec.meta
+    config = meta.config
+    rng = np.random.default_rng(40)
+    tokens = (rng.standard_t(df=4, size=(40, 128)) * 0.5).astype(np.float32)
+    good = kv_codec.encode_tokens(tokens).blocks
+    hardware = ParallelHuffmanDecoder(meta)
+    header_bytes = -(-config.header_bits // 8)
+
+    def attempt(decode):
+        try:
+            return decode()
+        except ValueError as error:
+            assert "corrupt block" in str(error)
+            return None
+
+    outcomes = {"decoded": 0, "rejected": 0}
+    for trial in range(240):
+        blocks = good.copy()
+        last = blocks[-1]
+        if trial % 3 == 0:
+            for bit in rng.integers(0, config.block_bits, size=rng.integers(1, 6)):
+                last[bit >> 3] ^= 0x80 >> (bit & 7)
+        elif trial % 3 == 1:
+            last[header_bytes:] = rng.integers(
+                0, 256, size=config.block_bytes - header_bytes, dtype=np.uint8
+            )
+        else:
+            last[:] = rng.integers(0, 256, size=config.block_bytes, dtype=np.uint8)
+
+        def plan_of(stack):
+            return kv_codec.plan_from_blocks(stack, (stack.shape[0], 128), 0)
+
+        wide = attempt(lambda: plan_of(blocks))  # vectorized lockstep path
+        small = attempt(lambda: plan_of(blocks[-1:]))  # scalar small path
+        chip = attempt(lambda: hardware.decode(last.tobytes()))
+        assert (wide is None) == (small is None) == (chip is None), trial
+        if wide is None:
+            outcomes["rejected"] += 1
+            continue
+        outcomes["decoded"] += 1
+        again = plan_of(blocks)
+        for name in ("scales", "scale_pos", "pattern_ids", "codebook_ids",
+                     "symbols", "corrections"):
+            field = getattr(wide, name)
+            assert np.array_equal(field, getattr(again, name))
+            assert np.array_equal(field[-1:], getattr(small, name))
+        assert np.array_equal(chip.values, reconstruct(meta, small)[0])
+    # The seed exercises both outcomes, or the test guards nothing.
+    assert outcomes["decoded"] > 20 and outcomes["rejected"] > 20
 
 
 @pytest.mark.parametrize(

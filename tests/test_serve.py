@@ -139,6 +139,80 @@ def test_coalesce_with_partial_cache_drops_back_to_the_boundary(kv_codec):
         stream.coalesce(3)
 
 
+def test_arrays_handed_out_by_reads_never_change(kv_codec):
+    """The aliasing contract of the growable decoded buffer: every array a
+    read ever returned stays read-only, keeps its bytes, and equals the
+    matching prefix of a fresh single-call decode — through 300 appends
+    interleaved with partial invalidations and page coalescing."""
+    rng = np.random.default_rng(13)
+    stream = KVCacheStream(key_codec=kv_codec, value_codec=kv_codec)
+    kept = []  # (the array a read returned, a private copy taken then)
+    page_start = 0
+    for step in range(300):
+        vec = rng.standard_normal(DIM).astype(np.float32)
+        stream.append(vec, vec * 0.5)
+        if step % 3 != 2:  # some steps skip the read, so reads batch tokens
+            keys = stream.read_keys()
+            kept.append((keys, keys.copy()))
+        if step % 37 == 36:
+            stream.invalidate_decoded(from_token=int(rng.integers(0, len(stream))))
+        if step % 16 == 15:
+            stream.coalesce(page_start)
+            page_start = len(stream)
+        if step % 101 == 100:
+            stream.invalidate_decoded()
+    reference = kv_codec.decode_all(stream._segments["keys"])
+    assert np.array_equal(stream.read_keys(), reference)
+    assert len(kept) == 200
+    for keys, copy in kept:
+        assert not keys.flags.writeable
+        assert np.array_equal(keys, copy)
+        assert np.array_equal(keys, reference[: keys.shape[0]])
+    with pytest.raises(ValueError, match="read-only"):
+        kept[-1][0][0, 0] = 0.0
+
+    # A rewriting pass that changes what a segment decodes to (say, a
+    # re-quantizing eviction) announces it through invalidate_decoded: the
+    # next read shows the new rows, the arrays handed out before do not.
+    tokens = stream._segments["keys"][1].token_shape[0]
+    stream._segments["keys"][1] = kv_codec.encode_tokens(
+        np.ones((tokens, DIM), dtype=np.float32)
+    )
+    stream.invalidate_decoded(from_token=16)
+    rewritten = kv_codec.decode_all(stream._segments["keys"])
+    assert not np.array_equal(rewritten, reference)
+    assert np.array_equal(stream.read_keys(), rewritten)
+    for keys, copy in kept:
+        assert np.array_equal(keys, copy)
+
+
+def test_reads_reuse_the_decoded_buffer_between_growth_steps(kv_codec):
+    """O(new tokens) per read with no clock in the test: over 512
+    append+read steps each read aliases the previous one — no copy of the
+    rows decoded earlier — except on the at most ceil(log2 512) + 1 steps
+    where the buffer grows, and every token is block-decoded once."""
+    rng = np.random.default_rng(14)
+    stream = KVCacheStream(key_codec=kv_codec, value_codec=kv_codec)
+    steps = 512
+    previous = {"keys": None, "values": None}
+    fresh_buffers = {"keys": 0, "values": 0}
+    for step in range(steps):
+        vec = rng.standard_normal(DIM).astype(np.float32)
+        stream.append(vec, vec)
+        for side, read in (("keys", stream.read_keys), ("values", stream.read_values)):
+            current = read()
+            assert current.shape == (step + 1, DIM)
+            if previous[side] is not None and not np.shares_memory(
+                previous[side], current
+            ):
+                fresh_buffers[side] += 1
+            previous[side] = current
+    limit = int(np.ceil(np.log2(steps))) + 1
+    assert 0 < fresh_buffers["keys"] <= limit
+    assert 0 < fresh_buffers["values"] <= limit
+    assert stream.decoded_tokens == {"keys": steps, "values": steps}
+
+
 def test_append_token_count_mismatch_is_a_clear_error(kv_codec):
     rng = np.random.default_rng(5)
     stream = KVCacheStream(key_codec=kv_codec, value_codec=kv_codec)
