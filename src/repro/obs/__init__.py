@@ -10,20 +10,16 @@ zero-overhead when disabled:
   against the shared clock, in a bounded ring buffer.
   :class:`NullRecorder` is the allocation-free default.
 * ``repro.obs.registry`` — :class:`MetricsRegistry`: labeled counters,
-  gauges and fixed-bucket histograms, snapshot-able mid-run.
-  ``EngineMetrics`` and the front-end report are built on top of it.
+  gauges and fixed-bucket histograms, snapshot-able mid-run.  The
+  serve layer's totals are read through from their owners' plain
+  dicts (``attach``), not copied in.
 * ``repro.obs.export`` / ``repro.obs.report`` — JSONL event logs,
   Chrome trace-event JSON (load at https://ui.perfetto.dev), and a
   text summarizer: ``python -m repro.obs.report trace.jsonl``.
 """
 
 from .export import chrome_trace, iter_jsonl, write_chrome_trace, write_jsonl
-from .registry import (
-    DEFAULT_LATENCY_BUCKETS,
-    Histogram,
-    MetricsRegistry,
-    MirroredCounters,
-)
+from .registry import DEFAULT_LATENCY_BUCKETS, Histogram, MetricsRegistry
 from .timing import WallTimer, wall_clock
 from .trace import TERMINAL_STATES, NullRecorder, TraceEvent, TraceRecorder
 
@@ -43,7 +39,6 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "Histogram",
     "MetricsRegistry",
-    "MirroredCounters",
     "NullRecorder",
     "TERMINAL_STATES",
     "TraceEvent",

@@ -6,7 +6,7 @@ names under a subsystem prefix (``engine.prefills``,
 family plus a sorted label set (``tenant=acme``, ``replica=1``,
 ``reason=ttl``) identifies one series.  Counters and gauges are plain
 Python numbers (ints stay ints, so registry snapshots agree bit-for-bit
-with the report dicts built from them); histograms have *fixed* upper
+with the reports); histograms have *fixed* upper
 bucket edges declared per family, with the Prometheus ``le`` convention
 — a sample equal to an edge lands in that edge's bucket — plus one
 overflow bucket and running count/sum/min/max.
@@ -24,13 +24,21 @@ where the subsystem is the component that owns the number (``engine``,
 and labels carry the dimension a consumer would group by.  Unlabeled
 series are totals; labeled series are per-dimension breakdowns and are
 recorded *in addition to* the totals the reports read, never instead.
+
+The totals are *pulled*, not pushed: each owner (the pool's ``stats``,
+the front-end's ``metrics``, the router's ``stats``, the replay
+clients' ``counts``, ``EngineMetrics``) keeps its counts in a plain
+dict that it alone writes and hands the registry a reference once
+(:meth:`MetricsRegistry.attach`); ``value()`` and ``snapshot()`` read
+the owner's numbers at call time, so there is one copy of every count
+and the hot path pays one dict write for it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 
-__all__ = ["DEFAULT_LATENCY_BUCKETS", "Histogram", "MetricsRegistry", "MirroredCounters"]
+__all__ = ["DEFAULT_LATENCY_BUCKETS", "Histogram", "MetricsRegistry"]
 
 #: Default histogram edges (seconds), log-ish spaced around the serving
 #: stack's simulated latencies: sub-millisecond decode steps up to
@@ -96,6 +104,7 @@ class MetricsRegistry:
 
     def __init__(self):
         self._counters: dict[str, int | float] = {}
+        self._attached: dict[str, dict] = {}
         self._gauges: dict[str, int | float] = {}
         self._histograms: dict[str, Histogram] = {}
         self._hist_buckets: dict[str, tuple[float, ...]] = {}
@@ -107,28 +116,39 @@ class MetricsRegistry:
         key = series_key(name, labels)
         self._counters[key] = self._counters.get(key, 0) + value
 
-    def counter_set(self, name: str, value, **labels) -> None:
-        """Overwrite a counter series (used to mirror externally-owned
-        counters like the pool's stats dict)."""
-        self._counters[series_key(name, labels)] = value
+    def attach(self, prefix: str, counters: dict) -> None:
+        """Publish an owner's counter dict as ``<prefix><key>`` series.
+
+        Read-through: the registry keeps the reference, and ``value()``
+        / ``snapshot()`` read the numeric entries at call time
+        (non-numeric entries stay unpublished).  A second ``attach`` of
+        a prefix replaces the first — the registry shows the most
+        recently attached owner, which is what the ``client.`` counters
+        of consecutive replays and a re-wrapped engine's ``frontend.``
+        counters rely on; every owner keeps reporting its own dict.
+        """
+        self._attached[prefix] = counters
+
+    def _published(self) -> dict:
+        """Every counter series as of now: the ones counted here with
+        ``inc`` plus the numeric entries of each attached owner."""
+        counters = dict(self._counters)
+        for prefix, owned in self._attached.items():
+            counters.update(
+                (prefix + key, held)
+                for key, held in owned.items()
+                if isinstance(held, (int, float))
+            )
+        return counters
 
     def value(self, name: str, default=0, **labels):
-        return self._counters.get(series_key(name, labels), default)
+        return self._published().get(series_key(name, labels), default)
 
     # ------------------------------------------------------------------
     # Gauges.
     # ------------------------------------------------------------------
     def gauge_set(self, name: str, value, **labels) -> None:
         self._gauges[series_key(name, labels)] = value
-
-    def gauge_max(self, name: str, value, **labels) -> None:
-        """High-watermark gauge: keeps the maximum ever set."""
-        key = series_key(name, labels)
-        current = self._gauges.get(key)
-        self._gauges[key] = value if current is None else max(current, value)
-
-    def gauge(self, name: str, default=0, **labels):
-        return self._gauges.get(series_key(name, labels), default)
 
     # ------------------------------------------------------------------
     # Histograms.
@@ -165,35 +185,10 @@ class MetricsRegistry:
         """Sorted, JSON-able view of every series — safe to take
         mid-run (pure read)."""
         return {
-            "counters": dict(sorted(self._counters.items())),
+            "counters": dict(sorted(self._published().items())),
             "gauges": dict(sorted(self._gauges.items())),
             "histograms": {
                 key: hist.snapshot()
                 for key, hist in sorted(self._histograms.items())
             },
         }
-
-
-class MirroredCounters(dict):
-    """A stats dict whose numeric writes mirror into a registry.
-
-    Drop-in for the pool's ``self.stats`` dict: every
-    ``stats[key] = value`` (and therefore ``stats[key] += n``) also
-    lands in ``registry`` as ``<prefix><key>``, so the registry's view
-    of the pool never goes stale and the ~30 existing mutation sites
-    need no edits.  Non-numeric values stay dict-only.
-    """
-
-    __slots__ = ("_registry", "_prefix")
-
-    def __init__(self, initial: dict, registry: MetricsRegistry, prefix: str):
-        super().__init__()
-        self._registry = registry
-        self._prefix = prefix
-        for key, value in initial.items():
-            self[key] = value
-
-    def __setitem__(self, key, value) -> None:
-        super().__setitem__(key, value)
-        if isinstance(value, (int, float)):
-            self._registry.counter_set(self._prefix + key, value)

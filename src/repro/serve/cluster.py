@@ -21,13 +21,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.obs import MirroredCounters
-
 from .engine import ServingEngine
-from .metrics import latency_percentiles, ttft_split
+from .metrics import ENGINE_COUNTERS, latency_summary
 from .pool import ROOT_CHAIN, chain_hash
 from .request import Request
-from .slo import slo_attainment
 from .trie import common_prefix_len
 
 __all__ = ["ClusterRouter"]
@@ -81,8 +78,8 @@ class ClusterRouter:
         #: them off ``target``), and renames each replica's trace tracks
         #: ``replica<i>/...`` so their phase rows stay apart in the
         #: Chrome export.  Routing decisions land on the ``cluster``
-        #: track; scalar routing stats mirror into the registry as
-        #: ``cluster.<name>`` (the per-replica ``routed`` list is
+        #: track; the registry reads the scalar routing stats through
+        #: as ``cluster.<name>`` (the per-replica ``routed`` list is
         #: covered by the labeled ``cluster.routed{replica=i}`` series).
         self.obs = self.engines[0].obs
         self.registry = self.engines[0].registry
@@ -90,19 +87,16 @@ class ClusterRouter:
             for i, engine in enumerate(self.engines):
                 if getattr(engine, "obs_track", "engine") == "engine":
                     engine.set_obs_track(f"replica{i}")
-        self.stats = MirroredCounters(
-            {
-                "routed": [0] * len(self.engines),
-                "affinity_hits": 0,
-                "affinity_overrides": 0,
-                "session_pins": 0,
-                "session_hits": 0,
-                "dedup_groups": 0,
-                "dedup_grouped": 0,
-            },
-            self.registry,
-            "cluster.",
-        )
+        self.stats: dict = {
+            "routed": [0] * len(self.engines),
+            "affinity_hits": 0,
+            "affinity_overrides": 0,
+            "session_pins": 0,
+            "session_hits": 0,
+            "dedup_groups": 0,
+            "dedup_grouped": 0,
+        }
+        self.registry.attach("cluster.", self.stats)
         #: Per-replica step compositions from the most recent ``step()``
         #: — replicas run concurrently, so a replay cost model charges
         #: the *slowest* replica, not the sum.
@@ -420,68 +414,25 @@ class ClusterRouter:
             engine.report(elapsed_s) for engine in self.engines
         ]
         requests = [r for e in self.engines for r in e.requests]
-        ttfts, warm_ttfts, cold_ttfts = ttft_split(requests)
-        finished = [r for r in requests if r.metrics.finish_s is not None]
-        e2e = [r.metrics.e2e_s for r in finished]
-        inter = [gap for r in requests for gap in r.metrics.inter_token_s]
+        # Every engine counter sums over replicas except the one
+        # high-watermark among them.
+        keys = ("requests", "finished", "tokens_generated", *ENGINE_COUNTERS)
         summed = {
             key: sum(rep[key] for rep in replicas)
-            for key in (
-                "requests",
-                "finished",
-                "tokens_generated",
-                "prefills",
-                "decode_steps",
-                "decode_tokens",
-                "prefill_chunks",
-                "chunked_prefill_tokens",
-                "prefill_stalls",
-                "warm_prefills",
-                "prefix_tokens_reused",
-                "prefix_pages_reused",
-                "prefix_partial_attaches",
-                "split_tokens_salvaged",
-                "prefill_forwarded_tokens",
-                "hol_blocked_steps",
-                "hol_bypasses",
-                "preemptions",
-                "shed_requests",
-                "modeled_kv_read_bytes",
-                "modeled_kv_read_fp16_bytes",
-                "modeled_sectors",
-            )
+            for key in keys
+            if key != "peak_concurrency"
         }
-        overruns = sum(
-            rep["pool"]["budget_overruns"] for rep in replicas
-        )
         return {
             "replicas": len(self.engines),
             "elapsed_s": elapsed_s,
             **summed,
-            "ttft_s_mean": float(np.mean(ttfts)) if ttfts else None,
-            "ttft_s_max": float(np.max(ttfts)) if ttfts else None,
-            "ttft_s_mean_warm": (
-                float(np.mean(warm_ttfts)) if warm_ttfts else None
-            ),
-            "ttft_s_mean_cold": (
-                float(np.mean(cold_ttfts)) if cold_ttfts else None
-            ),
             # Tail percentiles and SLO attainment are recomputed over
             # the combined request population — percentiles of merged
             # samples, not averages of per-replica percentiles.
-            **latency_percentiles(ttfts, "ttft_s"),
-            **latency_percentiles(inter, "inter_token_s"),
-            **latency_percentiles(e2e, "e2e_s"),
-            **slo_attainment(requests),
-            "budget_overruns": overruns,
-            "routing": {
-                "routed": list(self.stats["routed"]),
-                "affinity_hits": self.stats["affinity_hits"],
-                "affinity_overrides": self.stats["affinity_overrides"],
-                "session_pins": self.stats["session_pins"],
-                "session_hits": self.stats["session_hits"],
-                "dedup_groups": self.stats["dedup_groups"],
-                "dedup_grouped": self.stats["dedup_grouped"],
-            },
+            **latency_summary(requests),
+            "budget_overruns": sum(
+                rep["pool"]["budget_overruns"] for rep in replicas
+            ),
+            "routing": {**self.stats, "routed": list(self.stats["routed"])},
             "per_replica": replicas,
         }

@@ -107,7 +107,7 @@ class ServingEngine:
         #: Observability (``repro.obs``): ``recorder`` captures request
         #: lifecycle spans, engine step-phase spans and pool instants —
         #: the allocation-free :class:`NullRecorder` by default; every
-        #: engine and pool counter mirrors into the metrics' registry
+        #: engine and pool counter is readable from the metrics' registry
         #: (:attr:`registry`).  Neither touches the clock or any RNG, so
         #: a traced run is bit-identical to an untraced one.
         self.obs = recorder if recorder is not None else NullRecorder()
@@ -196,7 +196,7 @@ class ServingEngine:
     # ------------------------------------------------------------------
     @property
     def registry(self) -> MetricsRegistry:
-        """The metrics registry every engine/pool counter mirrors into."""
+        """The metrics registry that publishes every engine/pool counter."""
         return self.metrics.registry
 
     def set_obs_track(self, track: str) -> None:

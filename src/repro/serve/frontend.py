@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.obs import MetricsRegistry, MirroredCounters, NullRecorder
+from repro.obs import MetricsRegistry, NullRecorder
 
 from .clock import StepCostModel
 from .pool import BudgetExceededError
@@ -331,30 +331,27 @@ class AsyncServingEngine:
         self.tokens_processed = 0
         #: Observability: the front-end shares the engine's (or
         #: cluster's) recorder and registry, so one trace/export covers
-        #: the whole stack.  ``metrics`` keeps its dict interface but
-        #: every write mirrors into the registry as ``frontend.<key>``
-        #: — :meth:`report` reads the registry back, so the two can
-        #: never disagree.
+        #: the whole stack.  ``metrics`` is this front-end's own plain
+        #: dict — :meth:`report` reads it — and the registry reads it
+        #: through as ``frontend.<key>`` (the latest front-end built on
+        #: a target is the one the registry shows).
         self.obs = getattr(target, "obs", None) or NullRecorder()
         registry = getattr(target, "registry", None)
         self.registry = (
             registry if registry is not None else MetricsRegistry()
         )
-        self.metrics = MirroredCounters(
-            {
-                "arrivals": 0,
-                "accepted": 0,
-                "rejected_429": 0,
-                "shed_queue_full": 0,
-                "shed_slo": 0,
-                "timeouts": 0,
-                "queue_depth_peak": 0,
-                "queue_depth_sum": 0,
-                "queue_depth_samples": 0,
-            },
-            self.registry,
-            "frontend.",
-        )
+        self.metrics = {
+            "arrivals": 0,
+            "accepted": 0,
+            "rejected_429": 0,
+            "shed_queue_full": 0,
+            "shed_slo": 0,
+            "timeouts": 0,
+            "queue_depth_peak": 0,
+            "queue_depth_sum": 0,
+            "queue_depth_samples": 0,
+        }
+        self.registry.attach("frontend.", self.metrics)
         self._last_depth = None
 
     # ------------------------------------------------------------------
@@ -771,32 +768,26 @@ class AsyncServingEngine:
         """Front-end metrics: admission counts, shed/reject/timeout
         totals, queue depth, and per-tenant rate/fairness accounting.
 
-        Built by reading the ``frontend.*`` registry series back (every
-        write mirrors there), so the report and any mid-run registry
-        snapshot agree exactly; the keys are unchanged from the
-        pre-registry report.
+        Read from this front-end's own ``metrics`` dict, which the
+        registry publishes as ``frontend.*``.
         """
-        value = self.registry.value
-        samples = value("frontend.queue_depth_samples")
-        arrivals = value("frontend.arrivals")
-        shed = (
-            value("frontend.shed_queue_full") + value("frontend.shed_slo")
-        )
+        m = self.metrics
+        samples = m["queue_depth_samples"]
+        arrivals = m["arrivals"]
+        shed = m["shed_queue_full"] + m["shed_slo"]
         return {
             "arrivals": arrivals,
-            "accepted": value("frontend.accepted"),
-            "rejected_429": value("frontend.rejected_429"),
-            "shed_queue_full": value("frontend.shed_queue_full"),
-            "shed_slo": value("frontend.shed_slo"),
+            "accepted": m["accepted"],
+            "rejected_429": m["rejected_429"],
+            "shed_queue_full": m["shed_queue_full"],
+            "shed_slo": m["shed_slo"],
             "shed_rate": shed / arrivals if arrivals else 0.0,
-            "timeouts": value("frontend.timeouts"),
+            "timeouts": m["timeouts"],
             "steps": self.steps,
             "tokens_processed": self.tokens_processed,
-            "queue_depth_peak": value("frontend.queue_depth_peak"),
+            "queue_depth_peak": m["queue_depth_peak"],
             "queue_depth_mean": (
-                value("frontend.queue_depth_sum") / samples
-                if samples
-                else 0.0
+                m["queue_depth_sum"] / samples if samples else 0.0
             ),
             "tenants": {
                 name: {

@@ -20,11 +20,12 @@ from repro.obs import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
 from .slo import slo_attainment
 
 __all__ = [
+    "ENGINE_COUNTERS",
     "EngineMetrics",
     "decode_step_sectors",
     "latency_percentiles",
+    "latency_summary",
     "summarize_turns",
-    "ttft_split",
 ]
 
 
@@ -51,18 +52,43 @@ def latency_percentiles(values, prefix: str) -> dict:
     return out
 
 
-def ttft_split(requests) -> tuple[list[float], list[float], list[float]]:
-    """(all, warm, cold) TTFTs of ``requests`` — warm turns are the ones
-    that attached a cached prefix at admission.  One definition, shared
-    by the engine summary and the cluster report."""
-    ttfts, warm, cold = [], [], []
-    for request in requests:
-        ttft = request.metrics.ttft_s
-        if ttft is None:
-            continue
-        ttfts.append(ttft)
-        (warm if request.metrics.cached_tokens > 0 else cold).append(ttft)
-    return ttfts, warm, cold
+def _mean(values) -> float | None:
+    return float(np.mean(values)) if values else None
+
+
+def latency_summary(requests) -> dict:
+    """The latency block of a serving report, over ``requests``: TTFT
+    mean/max and its warm/cold split (warm turns attached a cached
+    prefix at admission), mean end-to-end and inter-token latency, the
+    three percentile families and SLO attainment.  One definition,
+    shared by the engine summary and the cluster report.
+
+    Requests with no recorded first token (still queued, shed,
+    preempted mid-prefill) are left out of every family rather than
+    poisoning the means; an empty family reports ``None``.
+    """
+    timed = [
+        (r.metrics.ttft_s, r.metrics.cached_tokens > 0)
+        for r in requests
+        if r.metrics.first_token_s is not None
+    ]
+    ttfts = [ttft for ttft, _ in timed]
+    e2e = [
+        r.metrics.e2e_s for r in requests if r.metrics.finish_s is not None
+    ]
+    inter = [gap for r in requests for gap in r.metrics.inter_token_s]
+    return {
+        "ttft_s_mean": _mean(ttfts),
+        "ttft_s_max": float(np.max(ttfts)) if ttfts else None,
+        "ttft_s_mean_warm": _mean([ttft for ttft, warm in timed if warm]),
+        "ttft_s_mean_cold": _mean([ttft for ttft, warm in timed if not warm]),
+        "e2e_s_mean": _mean(e2e),
+        "inter_token_s_mean": _mean(inter),
+        **latency_percentiles(ttfts, "ttft_s"),
+        **latency_percentiles(inter, "inter_token_s"),
+        **latency_percentiles(e2e, "e2e_s"),
+        **slo_attainment(requests),
+    }
 
 
 def summarize_turns(turn_reports: list[dict]) -> dict:
@@ -77,8 +103,7 @@ def summarize_turns(turn_reports: list[dict]) -> dict:
     cold = [t for t in turns if t["cached_tokens"] == 0]
 
     def _mean_ttft(group):
-        vals = [t["ttft_s"] for t in group if t["ttft_s"] is not None]
-        return float(np.mean(vals)) if vals else None
+        return _mean([t["ttft_s"] for t in group if t["ttft_s"] is not None])
 
     prompt_tokens = sum(t["prompt_tokens"] for t in turns)
     reused = sum(t["cached_tokens"] for t in turns)
@@ -136,11 +161,12 @@ def decode_step_sectors(
     return float(sectors)
 
 
-#: The engine counter families ``EngineMetrics`` exposes as attributes,
-#: with the zero each starts from (ints stay ints in the registry, so
-#: report values keep their types).  Every one is backed by an
-#: ``engine.<name>`` registry counter.
-_ENGINE_COUNTERS: dict[str, int | float] = {
+#: The engine counter families — the one list of them: ``EngineMetrics``
+#: starts each as a plain attribute at the zero given here (ints stay
+#: ints, so report values keep their types), ``summary()`` reports them
+#: all, the registry publishes each as ``engine.<name>`` and the cluster
+#: report sums them over replicas.
+ENGINE_COUNTERS: dict[str, int | float] = {
     "prefills": 0,
     "decode_steps": 0,
     "preemptions": 0,
@@ -191,25 +217,39 @@ BATCH_OCCUPANCY_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
 class EngineMetrics:
     """Aggregate counters one engine run accumulates.
 
-    Rebuilt on top of :class:`repro.obs.MetricsRegistry`: every counter
-    attribute reads and writes an ``engine.<name>`` registry series, so
-    a mid-run registry snapshot and the end-of-run :meth:`summary` are
-    views of the same storage and can never disagree.  The attribute
-    API (``metrics.prefills += 1``) is unchanged — call sites did not
-    move.
+    The counters are plain attributes (``metrics.prefills += 1``), one
+    per ``ENGINE_COUNTERS`` entry, and this object is their only store:
+    :attr:`registry` reads them through as ``engine.<name>`` at
+    snapshot time, so a mid-run registry snapshot and the end-of-run
+    :meth:`summary` cannot disagree.
     """
 
-    def __init__(self, registry: MetricsRegistry | None = None):
-        object.__setattr__(
-            self,
-            "registry",
-            registry if registry is not None else MetricsRegistry(),
-        )
-        object.__setattr__(self, "batch_occupancy", [])
-        for name, zero in _ENGINE_COUNTERS.items():
-            key = f"engine.{name}"
-            if self.registry.value(key, None) is None:
-                self.registry.counter_set(key, zero)
+    prefills: int
+    decode_steps: int
+    preemptions: int
+    decode_tokens: int
+    prefill_chunks: int
+    chunked_prefill_tokens: int
+    prefill_stalls: int
+    warm_prefills: int
+    prefix_tokens_reused: int
+    prefix_pages_reused: int
+    prefix_partial_attaches: int
+    split_tokens_salvaged: int
+    prefill_forwarded_tokens: int
+    hol_blocked_steps: int
+    hol_bypasses: int
+    shed_requests: int
+    peak_concurrency: int
+    modeled_sectors: float
+    modeled_kv_read_bytes: float
+    modeled_kv_read_fp16_bytes: float
+
+    def __init__(self):
+        vars(self).update(ENGINE_COUNTERS)
+        self.registry = MetricsRegistry()
+        # The non-numeric ``registry`` entry stays unpublished.
+        self.registry.attach("engine.", vars(self))
         self.registry.define_histogram(
             "engine.batch_occupancy", BATCH_OCCUPANCY_BUCKETS
         )
@@ -219,18 +259,6 @@ class EngineMetrics:
         self.registry.define_histogram(
             "request.e2e_s", DEFAULT_LATENCY_BUCKETS
         )
-
-    def __getattr__(self, name: str):
-        # Only missing attributes land here: the counter families.
-        if name in _ENGINE_COUNTERS:
-            return self.registry.value(f"engine.{name}")
-        raise AttributeError(name)
-
-    def __setattr__(self, name: str, value) -> None:
-        if name in _ENGINE_COUNTERS:
-            self.registry.counter_set(f"engine.{name}", value)
-        else:
-            object.__setattr__(self, name, value)
 
     def record_concurrency(self, running: int) -> None:
         self.peak_concurrency = max(self.peak_concurrency, running)
@@ -243,7 +271,6 @@ class EngineMetrics:
         sectors: float,
     ) -> None:
         self.decode_steps += 1
-        self.batch_occupancy.append(batch)
         self.registry.observe("engine.batch_occupancy", batch)
         self.decode_tokens += batch
         self.modeled_kv_read_bytes += kv_read_bytes
@@ -255,63 +282,24 @@ class EngineMetrics:
 
         Robust to degenerate runs: ``elapsed_s == 0`` reports a zero
         token rate instead of a divide-by-epsilon absurdity, and
-        requests with no recorded first token (still queued, shed,
-        preempted mid-prefill) are excluded from every latency family
-        (``ttft_split`` and ``slo_attainment`` skip them) rather than
-        poisoning the means.
+        requests with no recorded first token are excluded from every
+        latency family (see :func:`latency_summary`).
         """
-        finished = [r for r in requests if r.metrics.finish_s is not None]
-        ttfts, warm_ttfts, cold_ttfts = ttft_split(requests)
-        e2e = [r.metrics.e2e_s for r in finished]
-        inter = [
-            gap for r in requests for gap in r.metrics.inter_token_s
-        ]
+        finished = sum(r.metrics.finish_s is not None for r in requests)
         generated = sum(len(r.generated) for r in requests)
-        out = {
+        occupancy = self.registry.histogram("engine.batch_occupancy")
+        return {
             "requests": len(requests),
-            "finished": len(finished),
+            "finished": finished,
             "elapsed_s": elapsed_s,
             "tokens_generated": generated,
             "tokens_per_s": generated / elapsed_s if elapsed_s > 0 else 0.0,
-            "ttft_s_mean": float(np.mean(ttfts)) if ttfts else None,
-            "ttft_s_max": float(np.max(ttfts)) if ttfts else None,
-            "ttft_s_mean_warm": (
-                float(np.mean(warm_ttfts)) if warm_ttfts else None
-            ),
-            "ttft_s_mean_cold": (
-                float(np.mean(cold_ttfts)) if cold_ttfts else None
-            ),
-            "e2e_s_mean": float(np.mean(e2e)) if e2e else None,
-            "inter_token_s_mean": float(np.mean(inter)) if inter else None,
-            **latency_percentiles(ttfts, "ttft_s"),
-            **latency_percentiles(inter, "inter_token_s"),
-            **latency_percentiles(e2e, "e2e_s"),
-            **slo_attainment(requests),
-            "shed_requests": self.shed_requests,
-            "prefills": self.prefills,
-            "decode_steps": self.decode_steps,
-            "decode_tokens": self.decode_tokens,
-            "prefill_chunks": self.prefill_chunks,
-            "chunked_prefill_tokens": self.chunked_prefill_tokens,
-            "prefill_stalls": self.prefill_stalls,
-            "warm_prefills": self.warm_prefills,
-            "prefix_tokens_reused": self.prefix_tokens_reused,
-            "prefix_pages_reused": self.prefix_pages_reused,
-            "prefix_partial_attaches": self.prefix_partial_attaches,
-            "split_tokens_salvaged": self.split_tokens_salvaged,
-            "prefill_forwarded_tokens": self.prefill_forwarded_tokens,
-            "hol_blocked_steps": self.hol_blocked_steps,
-            "hol_bypasses": self.hol_bypasses,
-            "preemptions": self.preemptions,
-            "peak_concurrency": self.peak_concurrency,
+            **latency_summary(requests),
+            **{name: getattr(self, name) for name in ENGINE_COUNTERS},
+            # The histogram holds the same integer samples a list would;
+            # its running sum is exact.
             "mean_batch_occupancy": (
-                float(np.mean(self.batch_occupancy))
-                if self.batch_occupancy
-                else 0.0
+                occupancy.sum / occupancy.count if occupancy else 0.0
             ),
-            "modeled_kv_read_bytes": self.modeled_kv_read_bytes,
-            "modeled_kv_read_fp16_bytes": self.modeled_kv_read_fp16_bytes,
-            "modeled_sectors": self.modeled_sectors,
             "pool": pool.snapshot(),
         }
-        return out

@@ -60,7 +60,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.obs import MetricsRegistry, MirroredCounters, NullRecorder, wall_clock
+from repro.obs import MetricsRegistry, NullRecorder, wall_clock
 
 from .trie import PrefixMatch, PrefixTrie
 
@@ -203,13 +203,12 @@ class PagedKVPool:
         self.matched_prefix_hist: dict[str, int] = {}
         #: Observability (``repro.obs``): eviction/swap/split instants
         #: land on ``track`` in the trace (the engine renames it per
-        #: replica); every ``stats`` counter mirrors into ``registry``
-        #: as ``pool.<name>`` via :class:`MirroredCounters`, so no
-        #: increment site changes.
+        #: replica); ``stats`` is a plain dict this pool alone writes,
+        #: and ``registry`` reads it through as ``pool.<name>``.
         self.obs = recorder if recorder is not None else NullRecorder()
         self.registry = registry if registry is not None else MetricsRegistry()
         self.track = "pool"
-        initial_stats = {
+        self.stats = {
             "pages_allocated": 0,
             "pages_shared": 0,
             "pages_freed": 0,
@@ -246,7 +245,7 @@ class PagedKVPool:
             "budget_overruns": 0,
             "max_overrun_bytes": 0,
         }
-        self.stats = MirroredCounters(initial_stats, self.registry, "pool.")
+        self.registry.attach("pool.", self.stats)
 
     # ------------------------------------------------------------------
     # Budget.

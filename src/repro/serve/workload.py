@@ -31,8 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.obs import MirroredCounters
-
 from .clock import StepCostModel, VirtualClock
 from .frontend import (
     AsyncServingEngine,
@@ -476,14 +474,10 @@ def replay_trace(
     """
     frontend = _frontend_for(target, step_cost, max_steps)
     order = sorted(range(len(trace)), key=lambda i: trace[i].arrival_s)
-    # Replay-side outcome totals mirror into the stack's registry as
-    # ``client.<name>``, so a mid-run snapshot shows them alongside the
-    # engine/pool/frontend series.
-    counts = MirroredCounters(
-        {"submitted": 0, "rejected": 0, "shed": 0},
-        frontend.registry,
-        "client.",
-    )
+    # Published as ``client.<name>``: a mid-run registry snapshot shows
+    # the replay-side totals beside the engine/pool/frontend series.
+    counts = {"submitted": 0, "rejected": 0, "shed": 0}
+    frontend.registry.attach("client.", counts)
 
     async def _client(item: TraceRequest) -> None:
         await frontend.sleep_until(item.arrival_s)
@@ -586,23 +580,19 @@ def replay_open_loop(
     rng = np.random.default_rng(seed)
     jitter_u = rng.uniform(size=(len(trace), max(retry.max_attempts - 1, 1)))
     order = sorted(range(len(trace)), key=lambda i: trace[i].arrival_s)
-    # Attempt outcomes mirror into the stack's registry as
-    # ``client.<name>``; each client also drops instants on its own
-    # ``client-<idx>`` trace track, so a retry storm is readable in the
-    # Chrome export request by request.
-    counts = MirroredCounters(
-        {
-            "completed": 0,
-            "gave_up": 0,
-            "attempts": 0,
-            "retries": 0,
-            "timeouts": 0,
-            "shed": 0,
-            "rejected": 0,
-        },
-        frontend.registry,
-        "client.",
-    )
+    # Published as ``client.<name>``; each client also drops instants on
+    # its own ``client-<idx>`` trace track, so a retry storm is readable
+    # in the Chrome export request by request.
+    counts = {
+        "completed": 0,
+        "gave_up": 0,
+        "attempts": 0,
+        "retries": 0,
+        "timeouts": 0,
+        "shed": 0,
+        "rejected": 0,
+    }
+    frontend.registry.attach("client.", counts)
     obs = frontend.obs
 
     async def _client(idx: int) -> None:

@@ -6,7 +6,7 @@ Holds tracing to the three promises the serve stack builds on: it is
 shares one no-op span), and it *never changes behaviour when on* (a
 traced replay produces the same summary and bit-identical decoded KV
 as an untraced one).  Plus the registry's histogram edge semantics,
-counter mirroring, the degenerate-run guards in the engine summary,
+counter read-through, the degenerate-run guards in the engine summary,
 and the end-to-end acceptance checks: a Chrome export covering every
 lifecycle state and engine phase, and a registry snapshot that agrees
 exactly with ``EngineMetrics.summary()``.
@@ -21,7 +21,6 @@ from repro.llm import ProxyModel, calibrate, get_proxy_spec
 from repro.obs import (
     Histogram,
     MetricsRegistry,
-    MirroredCounters,
     NullRecorder,
     TraceRecorder,
     chrome_trace,
@@ -32,6 +31,7 @@ from repro.obs import (
 )
 from repro.obs.trace import _NULL_SPAN
 from repro.serve import (
+    AsyncServingEngine,
     ServingEngine,
     StepCostModel,
     VirtualClock,
@@ -39,8 +39,66 @@ from repro.serve import (
     generate_trace,
     replay_trace,
 )
+from repro.serve.metrics import ENGINE_COUNTERS
 
 ENGINE_PHASES = {"evict", "admit", "prefill", "preempt", "decode"}
+
+#: The report surface of the ``pressured_run`` fixture (plus a front-end
+#: built on its engine): sorted key lists, generated at the commit
+#: before the registry went read-through.  A vanished or new key must
+#: fail here, not print a ``[new ]`` line in ``compare_reports.py`` —
+#: extend the lists in the PR that adds the key.
+ENGINE_REPORT_KEYS = """
+chunked_prefill_tokens decode_steps decode_tokens e2e_s_mean e2e_s_p50
+e2e_s_p95 e2e_s_p99 elapsed_s finished hol_blocked_steps hol_bypasses
+inter_token_s_mean inter_token_s_p50 inter_token_s_p95 inter_token_s_p99
+mean_batch_occupancy modeled_kv_read_bytes modeled_kv_read_fp16_bytes
+modeled_sectors peak_concurrency per_token_nbytes pool preemptions
+prefill_chunks prefill_forwarded_tokens prefill_stalls prefills
+prefix_pages_reused prefix_partial_attaches prefix_tokens_reused requests
+shed_requests slo_itl_attainment slo_itl_met slo_itl_missed slo_requests
+slo_ttft_attainment slo_ttft_met slo_ttft_missed split_tokens_salvaged
+storage tokens_generated tokens_per_s ttft_s_max ttft_s_mean
+ttft_s_mean_cold ttft_s_mean_warm ttft_s_p50 ttft_s_p95 ttft_s_p99
+warm_prefills
+""".split()
+POOL_REPORT_KEYS = """
+budget_overruns byte_budget bytes_active bytes_evictable bytes_resident
+bytes_swapped bytes_written cached_pages evictions_cascade
+evictions_pressure evictions_ttl fp16_bytes_resident leaf_cached_pages
+matched_prefix_hist max_overrun_bytes page_tokens pages_allocated
+pages_evicted pages_freed pages_shared pages_split peak_bytes_resident
+peak_fp16_bytes_resident prefix_cache_hits prefix_full_hits prefix_misses
+prefix_partial_hits private_bytes private_swapped_bytes resident_pages
+shared_bytes_saved shared_fp16_bytes_saved split_tokens_salvaged
+swap_in_bytes swap_out_bytes swapped_pages ttl_s
+""".split()
+FRONTEND_REPORT_KEYS = """
+accepted arrivals queue_depth_mean queue_depth_peak rejected_429
+shed_queue_full shed_rate shed_slo steps tenants timeouts tokens_processed
+""".split()
+REGISTRY_COUNTER_KEYS = """
+engine.chunked_prefill_tokens engine.decode_steps engine.decode_tokens
+engine.hol_blocked_steps engine.hol_bypasses engine.modeled_kv_read_bytes
+engine.modeled_kv_read_fp16_bytes engine.modeled_sectors
+engine.peak_concurrency engine.preemptions engine.prefill_chunks
+engine.prefill_forwarded_tokens engine.prefill_stalls engine.prefills
+engine.prefix_pages_reused engine.prefix_partial_attaches
+engine.prefix_tokens_reused engine.shed_requests
+engine.split_tokens_salvaged engine.warm_prefills frontend.accepted
+frontend.arrivals frontend.queue_depth_peak frontend.queue_depth_samples
+frontend.queue_depth_sum frontend.rejected_429 frontend.shed_queue_full
+frontend.shed_slo frontend.timeouts pool.budget_overruns
+pool.bytes_written pool.evictions_cascade pool.evictions_pressure
+pool.evictions_ttl pool.evictions{reason=pressure} pool.max_overrun_bytes
+pool.pages_allocated pool.pages_evicted pool.pages_freed pool.pages_shared
+pool.pages_split pool.peak_bytes_resident pool.peak_fp16_bytes_resident
+pool.prefix_cache_hits pool.prefix_full_hits
+pool.prefix_lookups{outcome=miss} pool.prefix_misses
+pool.prefix_partial_hits pool.shared_bytes_saved
+pool.shared_fp16_bytes_saved pool.split_tokens_salvaged pool.swap_in_bytes
+pool.swap_out_bytes
+""".split()
 
 
 @pytest.fixture(scope="module")
@@ -214,15 +272,27 @@ def test_registry_labels_form_separate_series():
     assert snap["counters"]["pool.evictions{reason=ttl}"] == 2
 
 
-def test_mirrored_counters_mirror_numeric_writes():
+def test_attached_counters_read_through():
     reg = MetricsRegistry()
-    stats = MirroredCounters({"hits": 1, "routed": [0, 0]}, reg, "pool.")
+    stats = {"hits": 1, "routed": [0, 0]}
+    reg.attach("pool.", stats)
+    reg.inc("pool.hits", 5, tenant="a")  # labelled series, same family
     assert reg.value("pool.hits") == 1
     assert reg.value("pool.routed", default=None) is None  # non-numeric
+    # Writes after the attach are visible: the registry holds no copy.
     stats["hits"] += 2
-    assert stats["hits"] == 3 and reg.value("pool.hits") == 3
-    stats["routed"][1] += 1  # in-place list edits stay dict-only
-    assert stats == {"hits": 3, "routed": [0, 1]}
+    stats["late"] = 0.5
+    stats["routed"][1] += 1
+    assert reg.value("pool.hits") == 3
+    assert reg.value("pool.hits", tenant="a") == 5
+    assert reg.snapshot()["counters"] == {
+        "pool.hits": 3, "pool.hits{tenant=a}": 5, "pool.late": 0.5,
+    }
+    assert stats == {"hits": 3, "late": 0.5, "routed": [0, 1]}
+    # A second attach of the prefix replaces the first.
+    reg.attach("pool.", {"misses": 7})
+    assert reg.value("pool.hits", default=None) is None
+    assert reg.value("pool.misses") == 7
 
 
 # ----------------------------------------------------------------------
@@ -319,15 +389,39 @@ def test_chrome_trace_covers_lifecycle_and_phases(pressured_run, tmp_path):
     assert summary["swap_bytes_by_tier"]["host"]["out_bytes"] > 0
 
 
-def test_registry_snapshot_matches_engine_summary(pressured_run):
-    """Acceptance (b): the registry's TTFT/shed/eviction counts agree
-    exactly with ``EngineMetrics.summary()`` — same storage, no drift."""
+def _frontend_replay(parts):
+    """A short burst through an explicit front-end with a one-deep door,
+    so accepted, shed and queue-depth counts are all non-zero."""
+    spec, model, calib = parts
+    clock = VirtualClock()
+    engine = ServingEngine(
+        model, calib, byte_budget=60_000, page_tokens=8, clock=clock
+    )
+    frontend = AsyncServingEngine(
+        engine, step_cost=StepCostModel(), max_queue_depth=1, max_pending=1
+    )
+    cfg = WorkloadConfig(
+        duration_s=0.3, rate_rps=40.0, vocab_size=spec.vocab_size,
+        max_tokens=16,
+    )
+    trace = generate_trace(cfg, seed=12)
+    replay_trace(frontend, trace, clock)
+    return frontend, engine, trace
+
+
+def test_registry_snapshot_matches_engine_summary(pressured_run, parts):
+    """Acceptance (b): every engine, pool and front-end count in the
+    registry agrees exactly — value and int/float type — with the
+    report that owns it: same storage, no drift."""
     engine, recorder, clock = pressured_run
     summary = engine.report(clock())
     registry = engine.registry
 
-    for name in ("prefills", "decode_steps", "preemptions", "shed_requests"):
-        assert registry.value(f"engine.{name}") == summary[name]
+    for name, zero in ENGINE_COUNTERS.items():
+        held = registry.value(f"engine.{name}", default=None)
+        assert held == summary[name], name
+        assert type(held) is type(zero), name
+    assert summary["preemptions"] > 0 and summary["modeled_sectors"] > 0
     ttft = registry.histogram("request.ttft_s")
     assert ttft.count == len(
         [
@@ -336,15 +430,17 @@ def test_registry_snapshot_matches_engine_summary(pressured_run):
         ]
     )
     assert ttft.max == pytest.approx(summary["ttft_s_max"])
+    occupancy = registry.histogram("engine.batch_occupancy")
+    assert summary["mean_batch_occupancy"] == occupancy.sum / occupancy.count
     pool = summary["pool"]
-    for key, value in pool.items():
-        if key.startswith("evictions_"):
-            assert registry.value(f"pool.{key}") == value
+    for key, value in engine.pool.stats.items():
+        assert pool[key] == value == registry.value(f"pool.{key}", None), key
     # The labeled breakdown sums to the same totals.
     total_evictions = sum(
         v for k, v in pool.items() if k.startswith("evictions_")
     )
     snap = registry.snapshot()["counters"]
+    assert total_evictions > 0
     assert (
         sum(
             v for k, v in snap.items()
@@ -352,6 +448,44 @@ def test_registry_snapshot_matches_engine_summary(pressured_run):
         )
         == total_evictions
     )
+
+    frontend, replayed, _ = _frontend_replay(parts)
+    report = frontend.report()
+    assert report["accepted"] > 0 and report["shed_queue_full"] > 0
+    for key in frontend.metrics:
+        held = replayed.registry.value(f"frontend.{key}", default=None)
+        assert held == frontend.metrics[key] and type(held) is int, key
+        if key in report:
+            assert report[key] == held, key
+
+
+def test_second_frontend_leaves_the_first_report_alone(parts):
+    """Regression: every ``replay_trace(engine, ...)`` builds a front-end
+    on the engine's registry; that used to zero the ``frontend.*``
+    series an earlier front-end's ``report()`` read back.  Each
+    front-end reports its own counts; the registry shows the latest."""
+    first, engine, trace = _frontend_replay(parts)
+    before = first.report()
+    assert before["arrivals"] == len(trace) and before["accepted"] > 0
+    assert engine.registry.value("frontend.arrivals") == len(trace)
+
+    second = AsyncServingEngine(engine)
+    assert first.report() == before
+    assert second.report()["arrivals"] == 0
+    assert engine.registry.value("frontend.arrivals") == 0
+
+
+def test_report_surface_is_pinned(pressured_run):
+    """ROADMAP 5(e), first step: the key sets of the reports are part
+    of the contract the benches and ``compare_reports.py`` read."""
+    engine, recorder, clock = pressured_run
+    frontend = AsyncServingEngine(engine)
+    report = engine.report(clock())
+    assert sorted(report) == ENGINE_REPORT_KEYS
+    assert sorted(report["pool"]) == POOL_REPORT_KEYS
+    assert sorted(frontend.report()) == FRONTEND_REPORT_KEYS
+    counters = engine.registry.snapshot()["counters"]
+    assert sorted(counters) == REGISTRY_COUNTER_KEYS
 
 
 def test_summary_guards_degenerate_runs(parts):
