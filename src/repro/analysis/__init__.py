@@ -1,58 +1,49 @@
 """Codebase-native static analysis for the repro tree.
 
 ``python -m repro.analysis src tests benchmarks`` runs every registered
-rule over the given trees and exits non-zero on error-severity findings
-not covered by the checked-in baseline (``analysis-baseline.json``).
+rule over the given trees and exits non-zero on any finding.
 
-Eight rule families, each encoding a contract this codebase actually
-sells (see the rule modules for the full rationale):
+Every rule below earns its place on the *live* tree: ``tests/mutants.py``
+plants one-site faults in ``serve/`` and ``core/`` and a rule stays only
+if it flags a mutant the tier-1 tests let through (or caught a real bug
+when it landed: INV001, DET001, DET003).  See the rule modules for the
+contract each one encodes:
 
 =======  ==========================================================
 LAY001   imports obey the declared layer matrix (``analysis.layers``)
 DET001   no wall-clock reads outside ``repro.obs.timing``
 DET002   no global-state RNG (legacy ``np.random``, stdlib ``random``)
 DET003   no ``os.environ`` reads inside ``repro.*``
+SEE002   no unseeded RNG construction inside ``repro.*``
 ASY001   no blocking calls inside ``async def``
 ASY002   no coroutine calls that are never awaited
 INV001   pool byte counters mutate only via ``_bump``
 INV002   no bare ``except:``
 INV003   shed-family exceptions never swallowed silently
 INV004   no mutable default arguments inside ``repro.*``
-NUM001   no float ``sum`` over unordered containers (warning)
+NUM001   no float ``sum`` over unordered containers
 LIF001   locally acquired resources released on every path
-LIF002   ``begin_chunk`` not abandoned by a shed-family exception
-LIF003   opening lifecycle ops have a paired closer in the project
 AWA001   no stale read-modify-write of shared state across ``await``
 AWA002   no ``self.X += await ...`` read-modify-write
-SEE001   RNGs on serving paths constructed from explicit seeds
-SEE002   unseeded RNG construction anywhere in ``repro.*`` (warning)
 =======  ==========================================================
 
-The LAY/DET/ASY/INV/NUM families judge one file at a time; LIF/AWA/SEE
-are *interprocedural* — they run over a per-function CFG
-(``analysis.cfg``), a project-wide call graph (``analysis.callgraph``)
-and a worklist dataflow framework (``analysis.dataflow``) built once
-per run from the same parsed modules.
+Most rules judge one file at a time.  ASY002, AWA001/002 and LIF001 are
+*project* rules over the cross-module index (``analysis.project``);
+AWA001 and LIF001 run a worklist dataflow (``analysis.dataflow``) over a
+per-function CFG (``analysis.cfg``), and LIF001 alone needs the call
+graph's raise/close summaries (``analysis.callgraph``).
 
-Suppress a single judged-safe line inline::
+Suppress a single judged-safe line inline; inside ``src/repro/`` the
+suppression only counts when it carries a reason::
 
     clock()  # repro: ignore[DET001] -- measured throughput, not replayed
 
-Grandfather a finding (with a reason) in ``analysis-baseline.json`` —
-``--write-baseline`` regenerates it from the current findings.  The
-package is stdlib-only and imports nothing from the rest of ``repro``,
-so the analyzer can never be broken by the code it judges.
+The package is stdlib-only and imports nothing from the rest of
+``repro``, so the analyzer can never be broken by the code it judges.
 """
 
 from __future__ import annotations
 
-from .baseline import (
-    BaselineEntry,
-    BaselineError,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from .findings import Finding, Severity
 from .layers import LAYER_MATRIX, import_allowed, layer_of
 from .registry import (
@@ -67,8 +58,6 @@ from .registry import (
 from .runner import ModuleInfo, analyze_paths, analyze_source
 
 __all__ = [
-    "BaselineEntry",
-    "BaselineError",
     "Finding",
     "LAYER_MATRIX",
     "ModuleInfo",
@@ -77,14 +66,11 @@ __all__ = [
     "Severity",
     "analyze_paths",
     "analyze_source",
-    "apply_baseline",
     "import_allowed",
     "iter_project_rules",
     "iter_rules",
     "known_rule_ids",
     "layer_of",
-    "load_baseline",
     "register_project_rule",
     "register_rule",
-    "write_baseline",
 ]

@@ -1,91 +1,26 @@
 """CLI: ``python -m repro.analysis [paths...]``.
 
-Human-readable report on stdout; ``--output FILE`` additionally writes
-the machine-readable document (JSON findings by default, SARIF 2.1.0
-under ``--format sarif``).  Results are cached under
-``.cache/analysis/`` keyed by file content and analyzer source, so a
-clean re-run is near-instant; ``--no-cache`` forces a cold judgment.
+Human-readable report on stdout (``--format json`` prints the findings
+document instead); ``--output FILE`` additionally writes that JSON
+document to a file.  One code path: the CLI calls the same
+:func:`~repro.analysis.runner.analyze_paths` the library and the tests
+do, cold, every time (about 1.5 s on this tree).
 
-Exit status: 0 when no error-severity findings remain beyond the
-baseline *and* the baseline carries no stale entries (warnings gate
-only under ``--strict``; stale entries are debt already paid — run
-``--prune-baseline`` to drop them); 1 otherwise; 2 for
-usage/configuration problems (unreadable baseline, missing paths).
+Exit status: 0 when there are no findings; 1 when there are; 2 for
+usage problems (a path that does not exist).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 from pathlib import Path
 
-from .baseline import (
-    BaselineEntry,
-    BaselineError,
-    apply_baseline,
-    load_baseline,
-    prune_baseline,
-    write_baseline,
-)
-from .findings import Finding, Severity
 from .registry import iter_project_rules, iter_rules
+from .runner import analyze_paths
 
 DEFAULT_PATHS = ("src", "tests", "benchmarks")
-DEFAULT_BASELINE = "analysis-baseline.json"
-
-
-def _report_json(
-    findings: list[Finding], stale: list[BaselineEntry], baselined: int
-) -> dict[str, object]:
-    errors = sum(1 for f in findings if f.severity is Severity.ERROR)
-    return {
-        "version": 1,
-        "findings": [f.to_json() for f in findings],
-        "stale_baseline": [
-            {"rule": e.rule, "path": e.path, "snippet": e.snippet}
-            for e in stale
-        ],
-        "summary": {
-            "errors": errors,
-            "warnings": len(findings) - errors,
-            "baselined": baselined,
-            "stale_baseline_entries": len(stale),
-        },
-    }
-
-
-def _changed_files(root: Path) -> set[str] | None:
-    """Paths changed vs ``merge-base(HEAD, origin/main)`` plus untracked.
-
-    ``None`` when git cannot answer (no repo, no origin/main) — the
-    caller falls back to a full report rather than silently reporting
-    nothing.
-    """
-
-    def _git(*argv: str) -> str:
-        proc = subprocess.run(
-            ["git", *argv],
-            cwd=root,
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=30,
-        )
-        return proc.stdout
-
-    try:
-        base = _git("merge-base", "HEAD", "origin/main").strip()
-        diff = _git("diff", "--name-only", base)
-        untracked = _git("ls-files", "--others", "--exclude-standard")
-    except (OSError, subprocess.SubprocessError):
-        return None
-    return {
-        line.strip()
-        for line in (diff + untracked).splitlines()
-        if line.strip()
-    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -102,40 +37,12 @@ def main(argv: list[str] | None = None) -> int:
         help="repo root paths are resolved against (default: cwd)",
     )
     parser.add_argument(
-        "--baseline", type=Path, default=None,
-        help=f"baseline file (default: <root>/{DEFAULT_BASELINE} if present)",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write the current findings as the new baseline and exit 0",
-    )
-    parser.add_argument(
-        "--prune-baseline", action="store_true",
-        help="rewrite the baseline without stale entries and exit 0",
-    )
-    parser.add_argument(
-        "--changed-only", action="store_true",
-        help="report only findings in files changed vs origin/main "
-        "(interprocedural rules still judge the whole project; "
-        "stale-baseline gating is disabled for this partial view)",
-    )
-    parser.add_argument(
-        "--format", choices=("human", "json", "sarif"), default="human",
-        help="stdout format (json: full findings document; sarif: "
-        "SARIF 2.1.0)",
+        "--format", choices=("human", "json"), default="human",
+        help="stdout format (json: the full findings document)",
     )
     parser.add_argument(
         "--output", type=Path, default=None,
-        help="also write the machine-readable document to this file "
-        "(JSON findings, or SARIF under --format sarif)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="ignore and do not write the .cache/analysis result cache",
-    )
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="warnings gate too (default: only errors fail the run)",
+        help="also write the JSON findings document to this file",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -143,136 +50,36 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.changed_only and (args.write_baseline or args.prune_baseline):
-        print(
-            "error: --changed-only sees a partial tree; baselines must "
-            "be written/pruned from a full run",
-            file=sys.stderr,
-        )
-        return 2
-
     if args.list_rules:
         for rule in iter_rules():
-            print(
-                f"{rule.rule_id}  [{rule.severity.value:7s}] [module ]  "
-                f"{rule.summary}"
-            )
+            print(f"{rule.rule_id}  [module ]  {rule.summary}")
         for prule in iter_project_rules():
-            print(
-                f"{prule.rule_id}  [{prule.severity.value:7s}] [project]  "
-                f"{prule.summary}"
-            )
+            print(f"{prule.rule_id}  [project]  {prule.summary}")
         return 0
 
-    from .cache import AnalysisCache, analyze_modules_cached
-    from .runner import parse_paths
-
     try:
-        modules, findings = parse_paths(args.paths, args.root)
+        findings = analyze_paths(args.paths, args.root)
     except FileNotFoundError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
-    cache = None if args.no_cache else AnalysisCache(args.root)
-    findings = sorted(
-        findings + analyze_modules_cached(modules, cache),
-        key=lambda f: (f.path, f.line, f.col, f.rule),
-    )
-    if cache is not None:
-        cache.save()
-
-    changed_note: str | None = None
-    if args.changed_only:
-        changed = _changed_files(args.root)
-        if changed is None:
-            changed_note = (
-                "note: --changed-only could not resolve "
-                "merge-base(HEAD, origin/main); reporting everything"
-            )
-        else:
-            findings = [f for f in findings if f.path in changed]
-
-    baseline_path = args.baseline
-    if baseline_path is None:
-        candidate = args.root / DEFAULT_BASELINE
-        baseline_path = candidate if candidate.exists() else None
-
-    if args.write_baseline:
-        target = args.baseline or args.root / DEFAULT_BASELINE
-        entries = write_baseline(target, findings)
-        print(f"wrote {len(entries)} baseline entries to {target}")
-        print("add a 'reason' to each entry before committing.")
-        return 0
-
-    stale: list[BaselineEntry] = []
-    baselined = 0
-    if baseline_path is not None:
-        try:
-            entries = load_baseline(baseline_path)
-        except (BaselineError, OSError) as err:
-            print(f"error: cannot read baseline: {err}", file=sys.stderr)
-            return 2
-        total = len(findings)
-        findings, stale = apply_baseline(findings, entries)
-        baselined = total - len(findings)
-        if args.prune_baseline:
-            kept = prune_baseline(baseline_path, entries, stale)
-            print(
-                f"pruned {len(stale)} stale entries from {baseline_path} "
-                f"({len(kept)} kept)"
-            )
-            return 0
-    elif args.prune_baseline:
-        print("error: --prune-baseline needs a baseline file", file=sys.stderr)
-        return 2
-
-    # A partial (--changed-only) run cannot judge staleness: an entry
-    # for an unchanged file matches nothing simply because that file was
-    # filtered out.
-    stale_gates = not args.changed_only
-    if not stale_gates:
-        stale = []
-
-    doc = _report_json(findings, stale, baselined)
+    doc = {
+        "version": 1,
+        "findings": [f.to_json() for f in findings],
+        # Every finding is an error; "warnings" stays so the document
+        # keeps the shape its consumers were written against.
+        "summary": {"errors": len(findings), "warnings": 0},
+    }
     if args.output is not None:
         args.output.parent.mkdir(parents=True, exist_ok=True)
-        if args.format == "sarif":
-            from .sarif import to_sarif
-
-            args.output.write_text(
-                json.dumps(to_sarif(findings), indent=2) + "\n"
-            )
-        else:
-            args.output.write_text(json.dumps(doc, indent=2) + "\n")
-
+        args.output.write_text(json.dumps(doc, indent=2) + "\n")
     if args.format == "json":
         print(json.dumps(doc, indent=2))
-    elif args.format == "sarif":
-        from .sarif import to_sarif
-
-        print(json.dumps(to_sarif(findings), indent=2))
     else:
-        if changed_note is not None:
-            print(changed_note)
         for finding in findings:
             print(finding.format())
-        for entry in stale:
-            print(
-                f"stale baseline entry: {entry.rule} at {entry.path} "
-                f"({entry.snippet!r} no longer found — run "
-                f"--prune-baseline)"
-            )
-        summary = doc["summary"]
-        print(
-            f"{summary['errors']} errors, {summary['warnings']} warnings "  # type: ignore[index]
-            f"({baselined} baselined, {len(stale)} stale baseline entries)"
-        )
-
-    errors = sum(1 for f in findings if f.severity is Severity.ERROR)
-    gating = len(findings) if args.strict else errors
-    if stale and stale_gates:
-        return 1
-    return 1 if gating else 0
+        print(f"{len(findings)} errors")
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

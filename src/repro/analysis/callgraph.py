@@ -12,8 +12,8 @@ compiler's.  A call resolves when the evidence is strong:
   builtin-collection method names like ``append`` never resolve).
 
 Unresolved calls stay unresolved and the rules treat them
-conservatively.  On top of resolution sit the three summaries the LIF
-and SEE families consume:
+conservatively.  On top of resolution sit the two summaries LIF001 —
+the one rule this module exists for — consumes:
 
 * :meth:`CallGraph.raises_summary` — which *tracked* exceptions escape
   a function, through its callees, minus what local handlers certainly
@@ -22,9 +22,7 @@ and SEE families consume:
   CFG);
 * :meth:`CallGraph.closes_params` — parameters a callee may close
   (``kv`` handed to ``_finish`` counts as released because ``_finish``
-  calls ``kv.release()``);
-* :meth:`CallGraph.reachable_from` — BFS with parent pointers, so SEE
-  findings print the entry-point call chain.
+  calls ``kv.release()``).
 """
 
 from __future__ import annotations
@@ -321,41 +319,6 @@ class CallGraph:
             for kw in site.call.keywords:
                 if kw.arg is not None and isinstance(kw.value, ast.Name):
                     yield kw.value.id, kw.arg
-
-    # ------------------------------------------------------------------
-    # Reachability.
-    # ------------------------------------------------------------------
-    def reachable_from(
-        self, roots: Sequence[FunctionInfo]
-    ) -> dict[FunctionInfo, "FunctionInfo | None"]:
-        """BFS parent map: reached function -> the caller it was first
-        reached through (``None`` for roots)."""
-        parent: dict[FunctionInfo, FunctionInfo | None] = {}
-        queue: list[FunctionInfo] = []
-        for root in roots:
-            if root not in parent:
-                parent[root] = None
-                queue.append(root)
-        while queue:
-            fn = queue.pop(0)
-            for site in self.call_sites(fn):
-                for callee in self.resolve(site):
-                    if callee not in parent:
-                        parent[callee] = fn
-                        queue.append(callee)
-        return parent
-
-    @staticmethod
-    def chain(
-        parent: dict[FunctionInfo, "FunctionInfo | None"], fn: FunctionInfo
-    ) -> list[FunctionInfo]:
-        """Root-first call chain ending at ``fn``."""
-        out = [fn]
-        cursor: FunctionInfo | None = parent.get(fn)
-        while cursor is not None:
-            out.append(cursor)
-            cursor = parent.get(cursor)
-        return list(reversed(out))
 
     # ------------------------------------------------------------------
     # CFG integration.

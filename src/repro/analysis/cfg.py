@@ -65,9 +65,9 @@ ENTRY = 0
 EXIT = 1
 RAISE_EXIT = 2
 
-#: Ancestry for the builtin exceptions this repo's protocols touch, so
-#: the default matcher understands ``except ValueError`` vs a raise of
-#: ``ValueError`` subclasses it has been told about.
+#: Ancestry for the builtin exceptions this repo's handlers name, so the
+#: project's matcher understands ``except ValueError`` vs a raise of a
+#: ``ValueError`` subclass defined in the tree.
 BUILTIN_EXC_BASES: dict[str, str] = {
     "ValueError": "Exception",
     "TypeError": "Exception",
@@ -104,9 +104,7 @@ class Node:
     #: The header AST node (a statement, or ``ast.ExceptHandler`` for
     #: handler heads); ``None`` for the three synthetic nodes.
     stmt: ast.AST | None
-    label: str
     succs: list[Edge] = field(default_factory=list)
-    preds: list[Edge] = field(default_factory=list)
 
 
 @dataclass
@@ -116,23 +114,15 @@ class CFG:
     func: FunctionNode
     nodes: list[Node] = field(default_factory=list)
 
-    def new_node(self, stmt: ast.AST | None, label: str) -> int:
+    def new_node(self, stmt: ast.AST | None) -> int:
         nid = len(self.nodes)
-        self.nodes.append(Node(nid=nid, stmt=stmt, label=label))
+        self.nodes.append(Node(nid=nid, stmt=stmt))
         return nid
 
     def add_edge(self, src: int, dst: int, kind: str) -> None:
         edge = Edge(src, dst, kind)
-        if edge in self.nodes[src].succs:
-            return
-        self.nodes[src].succs.append(edge)
-        self.nodes[dst].preds.append(edge)
-
-    def stmt_nodes(self) -> Iterator[Node]:
-        """Every non-synthetic node."""
-        for node in self.nodes:
-            if node.stmt is not None:
-                yield node
+        if edge not in self.nodes[src].succs:
+            self.nodes[src].succs.append(edge)
 
 
 # ---------------------------------------------------------------------------
@@ -216,27 +206,6 @@ def walk_header(stmt: ast.AST) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
-def default_catches(names: tuple[str, ...], exc: str) -> bool | None:
-    """Hierarchy matcher over the builtin table only."""
-    if WILDCARD in names:
-        return None
-    if exc == WILDCARD:
-        if "Exception" in names or "BaseException" in names:
-            return True
-        return None
-    ancestry = {exc}
-    cursor = exc
-    while cursor in BUILTIN_EXC_BASES:
-        cursor = BUILTIN_EXC_BASES[cursor]
-        ancestry.add(cursor)
-    if set(names) & ancestry:
-        return True
-    # Unknown handler types might still be bases of exc.
-    if any(n not in BUILTIN_EXC_BASES and n != "BaseException" for n in names):
-        return None if exc not in BUILTIN_EXC_BASES else False
-    return False
-
-
 def _no_raises(stmt: ast.AST) -> Sequence[str]:
     return ()
 
@@ -271,8 +240,8 @@ class _Builder:
         self, func: FunctionNode, raises_of: RaisesFn, catches: CatchesFn
     ) -> None:
         self.cfg = CFG(func=func)
-        for label in ("entry", "exit", "raise-exit"):  # ids 0, 1, 2
-            self.cfg.new_node(None, label)
+        for _ in (ENTRY, EXIT, RAISE_EXIT):
+            self.cfg.new_node(None)
         self.raises_of = raises_of
         self.catches = catches
         self.frames: list[_Loop | _Try] = []
@@ -282,10 +251,6 @@ class _Builder:
         out = self._stmts(self.cfg.func.body, [(ENTRY, "next")])
         self._connect(out, EXIT)
         return self.cfg
-
-    def _new(self, stmt: ast.AST) -> int:
-        lineno = getattr(stmt, "lineno", 0)
-        return self.cfg.new_node(stmt, f"L{lineno}:{type(stmt).__name__}")
 
     def _connect(self, frontier: "list[tuple[int, str]]", dst: int) -> None:
         for src, kind in frontier:
@@ -384,7 +349,7 @@ class _Builder:
     def _simple(
         self, stmt: ast.stmt, frontier: "list[tuple[int, str]]"
     ) -> "list[tuple[int, str]]":
-        nid = self._new(stmt)
+        nid = self.cfg.new_node(stmt)
         self._connect(frontier, nid)
         self._coarse_except_edges(nid)
         if isinstance(stmt, ast.Return):
@@ -406,7 +371,7 @@ class _Builder:
     def _if(
         self, stmt: ast.If, frontier: "list[tuple[int, str]]"
     ) -> "list[tuple[int, str]]":
-        nid = self._new(stmt)
+        nid = self.cfg.new_node(stmt)
         self._connect(frontier, nid)
         self._coarse_except_edges(nid)
         for exc in self.raises_of(stmt):
@@ -418,7 +383,7 @@ class _Builder:
     def _while(
         self, stmt: ast.While, frontier: "list[tuple[int, str]]"
     ) -> "list[tuple[int, str]]":
-        head = self._new(stmt)
+        head = self.cfg.new_node(stmt)
         self._connect(frontier, head)
         self._coarse_except_edges(head)
         for exc in self.raises_of(stmt):
@@ -438,7 +403,7 @@ class _Builder:
     def _for(
         self, stmt: "ast.For | ast.AsyncFor", frontier: "list[tuple[int, str]]"
     ) -> "list[tuple[int, str]]":
-        head = self._new(stmt)
+        head = self.cfg.new_node(stmt)
         self._connect(frontier, head)
         self._coarse_except_edges(head)
         for exc in self.raises_of(stmt):
@@ -455,7 +420,7 @@ class _Builder:
     def _with(
         self, stmt: "ast.With | ast.AsyncWith", frontier: "list[tuple[int, str]]"
     ) -> "list[tuple[int, str]]":
-        nid = self._new(stmt)
+        nid = self.cfg.new_node(stmt)
         self._connect(frontier, nid)
         self._coarse_except_edges(nid)
         for exc in self.raises_of(stmt):
@@ -465,7 +430,7 @@ class _Builder:
     def _match(
         self, stmt: ast.Match, frontier: "list[tuple[int, str]]"
     ) -> "list[tuple[int, str]]":
-        nid = self._new(stmt)
+        nid = self.cfg.new_node(stmt)
         self._connect(frontier, nid)
         self._coarse_except_edges(nid)
         out: "list[tuple[int, str]]" = []
@@ -490,7 +455,7 @@ class _Builder:
 
         handler_out: "list[tuple[int, str]]" = []
         for (_names, pending), handler in zip(frame.handler_edges, stmt.handlers):
-            head = self._new(handler)
+            head = self.cfg.new_node(handler)
             for src in sorted(set(pending)):
                 self.cfg.add_edge(src, head, "except")
             handler_out.extend(self._stmts(handler.body, [(head, "next")]))
@@ -516,17 +481,13 @@ class _Builder:
 
 
 def build_cfg(
-    func: FunctionNode,
-    raises_of: RaisesFn | None = None,
-    catches: CatchesFn | None = None,
+    func: FunctionNode, catches: CatchesFn, raises_of: RaisesFn = _no_raises
 ) -> CFG:
     """Build the CFG for one function.
 
-    ``raises_of`` supplies *known* exceptions for non-``raise``
-    statements (explicit ``raise`` statements are always routed);
-    ``catches`` decides handler/exception hierarchy matches (defaults
-    to the builtin-exception table).
+    ``catches`` decides handler/exception hierarchy matches
+    (:meth:`repro.analysis.project.Project.catches`); ``raises_of``
+    supplies *known* exceptions for non-``raise`` statements (explicit
+    ``raise`` statements are always routed).
     """
-    return _Builder(
-        func, raises_of or _no_raises, catches or default_catches
-    ).build()
+    return _Builder(func, raises_of, catches).build()

@@ -1,12 +1,8 @@
 """Finding and severity types shared by every rule.
 
-A :class:`Finding` is one rule hit at one source location.  Its
-*fingerprint* deliberately ignores the line number: baselines must
-survive unrelated edits above a grandfathered line, so identity is
-``(rule, path, stripped source line)`` — the same triple `ruff` and
-`flake8` baselining tools converge on.  Two identical lines in one file
-share a fingerprint; the baseline stores a *count* per fingerprint so
-adding a third occurrence is still caught.
+A :class:`Finding` is one rule hit at one source location; ``snippet``
+carries the stripped source line it anchors to, so a report reads
+without opening the file.
 """
 
 from __future__ import annotations
@@ -16,13 +12,13 @@ from dataclasses import dataclass, field
 
 
 class Severity(enum.Enum):
-    """How a finding gates the run.
+    """How a finding gates the run: every finding is an error.
 
-    ``ERROR`` findings (beyond the baseline) fail the build; ``WARNING``
-    findings are reported but only gate under ``--strict``.
+    A rule that cannot justify failing the build does not ship (the
+    mutation matrix in ``tests/mutants.py`` is the bar), so there is no
+    advisory tier.
     """
 
-    WARNING = "warning"
     ERROR = "error"
 
     def __str__(self) -> str:
@@ -39,13 +35,8 @@ class Finding:
     col: int
     message: str
     severity: Severity
-    #: The stripped source line the finding anchors to (fingerprint key).
+    #: The stripped source line the finding anchors to.
     snippet: str = field(default="", compare=False)
-
-    @property
-    def fingerprint(self) -> tuple[str, str, str]:
-        """Line-number-free identity used for baseline matching."""
-        return (self.rule, self.path, self.snippet)
 
     def to_json(self) -> dict[str, object]:
         return {

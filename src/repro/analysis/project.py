@@ -1,7 +1,7 @@
 """Whole-project index: every class, method and function, cross-linked.
 
-Per-module rules see one file at a time; the interprocedural rules
-(LIF/AWA/SEE) need to know *who defines what* across the tree — which
+Per-module rules see one file at a time; the project rules (LIF001,
+AWA001/002, ASY002) need to know *who defines what* across the tree — which
 class a ``self.pool`` attribute holds, what ``BudgetExceededError``
 subclasses, which function a bare call name refers to.  :class:`Project`
 builds that index once per run from the already-parsed
@@ -12,7 +12,7 @@ top of it.
 Attribute types come from three honest sources, in priority order:
 ``self.X = SomeClass(...)`` constructor assignments, ``self.X = param``
 where the parameter is annotated with a project class, and a small
-curated table for the serve-layer names the LIF rules reason about.
+curated table for the serve-layer names LIF001 reasons about.
 Anything else is *unknown* — the rules treat unknown receivers
 conservatively rather than guessing.
 """
@@ -21,13 +21,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Union
+from typing import Iterator, Union
 
-from .cfg import BUILTIN_EXC_BASES, terminal_name
+from .cfg import BUILTIN_EXC_BASES, WILDCARD, terminal_name
 from .runner import ModuleInfo
-
-if TYPE_CHECKING:  # pragma: no cover - cycle guard, types only
-    from .callgraph import CallGraph
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
@@ -59,10 +56,6 @@ class FunctionInfo:
     def is_async(self) -> bool:
         return isinstance(self.node, ast.AsyncFunctionDef)
 
-    @property
-    def is_public(self) -> bool:
-        return not self.name.startswith("_")
-
     def __hash__(self) -> int:
         return id(self.node)
 
@@ -88,7 +81,6 @@ class Project:
 
     def __init__(self, modules: list[ModuleInfo]) -> None:
         self.modules = modules
-        self.by_path: dict[str, ModuleInfo] = {m.relpath: m for m in modules}
         self.functions: list[FunctionInfo] = []
         self.classes: list[ClassInfo] = []
         self.classes_by_name: dict[str, list[ClassInfo]] = {}
@@ -96,7 +88,6 @@ class Project:
         self.functions_by_name: dict[str, list[FunctionInfo]] = {}
         #: Methods by bare name, across every class.
         self.methods_by_name: dict[str, list[FunctionInfo]] = {}
-        self._callgraph: "CallGraph | None" = None
         for module in modules:
             self._index_module(module)
         for cls in self.classes:
@@ -237,8 +228,6 @@ class Project:
 
     def catches(self, handler_names: tuple[str, ...], exc: str) -> bool | None:
         """Hierarchy-aware handler matcher for the CFG builder."""
-        from .cfg import WILDCARD
-
         if WILDCARD in handler_names:
             return None
         if exc == WILDCARD:
@@ -255,16 +244,6 @@ class Project:
 
     def iter_functions(self) -> Iterator[FunctionInfo]:
         return iter(self.functions)
-
-    @property
-    def callgraph(self) -> "CallGraph":
-        """One shared :class:`~repro.analysis.callgraph.CallGraph` per
-        project, so summaries memoize across rule families."""
-        if self._callgraph is None:
-            from .callgraph import CallGraph
-
-            self._callgraph = CallGraph(self)
-        return self._callgraph
 
 
 def build_project(modules: list[ModuleInfo]) -> Project:

@@ -2,8 +2,8 @@
 
 A rule is a callable ``(module: ModuleInfo) -> Iterable[Finding]``
 registered under a stable ID (``LAY001``, ``DET002``, ...).  IDs are the
-public contract — inline suppressions (``# repro: ignore[DET001]``) and
-baseline entries refer to them — so renaming one is a breaking change.
+public contract — inline suppressions (``# repro: ignore[DET001]``)
+refer to them — so renaming one is a breaking change.
 
 Registration is import-driven: ``repro.analysis.rules`` imports every
 rule module for its side effects, exactly like pytest plugins.  Rules
@@ -44,9 +44,9 @@ class ProjectRule:
     """A rule that judges the whole project at once.
 
     Per-module rules see one file; project rules get the cross-module
-    :class:`~repro.analysis.project.Project` index (call graph, class
-    hierarchy), which is what the interprocedural LIF/AWA/SEE families
-    run on.  Findings flow into the same fingerprint/baseline pipeline.
+    :class:`~repro.analysis.project.Project` index (every function and
+    class, cross-linked), which is what ASY002, AWA001/002 and LIF001
+    run on.  Findings flow into the same suppression pipeline.
     """
 
     rule_id: str

@@ -9,9 +9,13 @@ called without ``await`` silently does nothing.  Two rules:
   file I/O (``open``, ``Path.read_text``/``write_text``...),
   ``input``, ``os.system``, the ``subprocess`` family.  Nested ``def``
   bodies open their own (sync) scope and are skipped.
-* ASY002 — a call to a locally-defined ``async def`` used as a bare
-  expression statement: the coroutine object is created and dropped,
-  never awaited.  (Assignments are exempt — handing a coroutine to
+* ASY002 — a call to an ``async def`` defined anywhere in the analyzed
+  tree, used as a bare expression statement: the coroutine object is
+  created and dropped, never awaited.  Matching is by name across
+  modules (``frontend.sleep_until(...)`` in ``workload.py`` resolves to
+  the front-end's coroutine); a receiver that is an imported *module*
+  (``time.sleep``, ``asyncio.sleep``) is that module's function and is
+  skipped.  (Assignments are exempt — handing a coroutine to
   ``asyncio.create_task``/``gather`` is normal.)
 """
 
@@ -21,9 +25,10 @@ import ast
 from typing import Iterator
 
 from ..findings import Finding, Severity
-from ..registry import register_rule
+from ..project import Project
+from ..registry import register_project_rule, register_rule
 from ..runner import ModuleInfo
-from . import dotted, walk_skipping_defs
+from . import dotted, module_aliases, walk_skipping_defs
 
 _BLOCKING_DOTTED = frozenset(
     {
@@ -78,33 +83,36 @@ def blocking_in_async(module: ModuleInfo) -> Iterator[Finding]:
                 )
 
 
-def _async_def_names(tree: ast.AST) -> frozenset[str]:
-    return frozenset(
-        node.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.AsyncFunctionDef)
-    )
-
-
-@register_rule(
+@register_project_rule(
     "ASY002",
     Severity.ERROR,
     "coroutine call never awaited",
 )
-def never_awaited(module: ModuleInfo) -> Iterator[Finding]:
-    names = _async_def_names(module.tree)
+def never_awaited(project: Project) -> Iterator[Finding]:
+    names = frozenset(fn.name for fn in project.iter_functions() if fn.is_async)
     if not names:
         return
-    for node in ast.walk(module.tree):
-        if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)):
-            continue
-        func = node.value.func
-        called: str | None = None
-        if isinstance(func, ast.Name) and func.id in names:
-            called = func.id
-        elif isinstance(func, ast.Attribute) and func.attr in names:
-            called = func.attr
-        if called is not None:
+    for module in project.modules:
+        imported: dict[str, str] | None = None
+        for node in ast.walk(module.tree):
+            if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)):
+                continue
+            func = node.value.func
+            if isinstance(func, ast.Name):
+                called = func.id
+            elif isinstance(func, ast.Attribute):
+                called = func.attr
+            else:
+                continue
+            if called not in names:
+                continue
+            if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                # ``time.sleep(0)`` / ``asyncio.sleep(0)`` call the imported
+                # module's function, whatever async defs the tree has.
+                if imported is None:
+                    imported = module_aliases(module.tree)
+                if func.value.id in imported:
+                    continue
             yield module.finding(
                 "ASY002",
                 Severity.ERROR,

@@ -116,11 +116,11 @@ def stale_write_across_await(project: Project) -> Iterator[Finding]:
         )
         if not body_has_await:
             continue
-        yield from _check_async_fn(fn)
+        yield from _check_async_fn(project, fn)
 
 
-def _check_async_fn(fn: FunctionInfo) -> Iterator[Finding]:
-    cfg = build_cfg(fn.node)
+def _check_async_fn(project: Project, fn: FunctionInfo) -> Iterator[Finding]:
+    cfg = build_cfg(fn.node, project.catches)
     hits: dict[int, tuple[ast.AST, str, str]] = {}
 
     def transfer(

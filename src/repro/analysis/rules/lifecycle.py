@@ -1,44 +1,32 @@
-"""LIF — resource-lifecycle state machines for the serve layer.
+"""LIF001 — a locally acquired pool resource must not leak.
 
 The page-lifecycle bug class (double frees, orphaned cached chains,
 pins leaked on the ``BudgetExceededError`` path) cost PRs 4–5 most of
 their debugging time, and every instance had the same shape: an acquire
 whose paired release is missed on *some* path — usually the exception
-path.  These rules encode the pairings as typestate over the CFG and
-call graph:
-
-========  ==========================================================
-LIF001    a locally-held resource (``kv = backend.create_request(...)``,
-          ``page, _ = pool.acquire(...)``) may reach function exit —
-          normal or via an escaping tracked exception — neither
-          released nor handed off.  Hand-offs are resolved through the
-          call graph: ``self._finish(kv)`` counts as a release because
-          ``_finish`` calls ``kv.release()``; storing to an attribute,
-          container or return value transfers ownership.
-LIF002    ``R.begin_chunk(...)`` may be abandoned by an escaping
-          tracked exception before ``R.commit_chunk(...)`` runs.
-          Normal exits are allowed — the engine legitimately spreads a
-          chunk cycle across steps — but an exception between begin and
-          commit strands the reservation (the PR-5 deadlock shape).
-LIF003    protocol completeness: the project calls an *opening*
-          operation (``swap_private_out``, ``begin_ingest``,
-          ``reserve_private``, ``attach_cached_prefix``, auto-ID
-          ``submit``) but never its paired closer anywhere — the
-          deleted-``release()`` regression a unit test only catches by
-          luck.
-========  ==========================================================
+path.  LIF001 encodes that pairing as typestate over the CFG and call
+graph: a locally-held resource (``kv = backend.create_request(...)``,
+``page, _ = pool.acquire(...)``) may not reach function exit — normal
+or via an escaping tracked exception — neither released nor handed off.
+Hand-offs are resolved through the call graph: ``self._finish(kv)``
+counts as a release because ``_finish`` calls ``kv.release()``; storing
+to an attribute, container or return value transfers ownership.
 
 Exception edges use the call graph's transitive raise summaries for the
-shed family (``BudgetExceededError`` and subclasses), so a call into
-``ingest_chunk`` — which reaches ``pool.acquire`` — counts as a
-possible raise point in the *caller's* CFG, with local ``except``
-clauses matched by class hierarchy.
+shed family (``BudgetExceededError`` and subclasses), so a call that
+reaches a ``raise BudgetExceededError`` counts as a possible raise point
+in the *caller's* CFG, with local ``except`` clauses matched by class
+hierarchy.  On the live tree this is what the rule is kept for: a
+shed-family raise planted between ``pool.acquire`` and
+``self.pages.append(page)`` is flagged here and by no tier-1 test
+(``pageify-raise-before-handoff`` in ``tests/mutants.py``).  Dropped
+``release()``/``commit_chunk()`` calls are *not* this rule's business —
+the budget tests kill those in seconds.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 from typing import Iterator
 
 from ..callgraph import CallGraph, CallSite
@@ -59,56 +47,6 @@ TRACKED_EXCEPTIONS = frozenset(
 ACQUIRE_OPS: dict[str, bool] = {"create_request": False, "acquire": True}
 
 CLOSE_OPS = frozenset({"release"})
-
-
-@dataclass(frozen=True)
-class _Protocol:
-    label: str
-    openers: frozenset[str]
-    closers: frozenset[str]
-    #: When set, opener sites only count with a resolved receiver class
-    #: that actually defines the opener (keeps generic verbs like
-    #: ``submit`` from matching unrelated code).
-    typed: bool = False
-
-
-PROTOCOLS: tuple[_Protocol, ...] = (
-    _Protocol(
-        "pinned cached prefix",
-        frozenset({"attach_cached_prefix"}),
-        frozenset({"release"}),
-    ),
-    _Protocol(
-        "chunked ingest",
-        frozenset({"begin_ingest", "begin_chunk"}),
-        frozenset({"commit_chunk"}),
-    ),
-    _Protocol(
-        "private tail buffer",
-        frozenset({"reserve_private"}),
-        frozenset({"free_private", "swap_private_out"}),
-    ),
-    _Protocol(
-        "swapped private tail",
-        frozenset({"swap_private_out"}),
-        frozenset({"swap_private_in", "free_private"}),
-    ),
-    _Protocol(
-        "swapped pages",
-        frozenset({"swap_out"}),
-        frozenset({"swap_in", "release"}),
-    ),
-    _Protocol(
-        "auto-ID admission",
-        frozenset({"submit"}),
-        frozenset({"finish", "_finish", "shed", "release", "cancel"}),
-        typed=True,
-    ),
-)
-
-
-def _in_scope(fn: FunctionInfo) -> bool:
-    return fn.module.is_repro
 
 
 def _assign_targets(stmt: ast.AST) -> list[ast.expr]:
@@ -149,9 +87,9 @@ def _acquired_var(stmt: ast.AST) -> "tuple[str, ast.Call] | None":
     "(release it, hand it off, or guard with try/finally)",
 )
 def local_resource_leak(project: Project) -> Iterator[Finding]:
-    graph = project.callgraph
+    graph = CallGraph(project)
     for fn in project.iter_functions():
-        if not _in_scope(fn):
+        if not fn.module.is_repro:
             continue
         if not any(s.name in ACQUIRE_OPS for s in graph.call_sites(fn)):
             continue
@@ -163,8 +101,8 @@ def _check_function_leaks(
 ) -> Iterator[Finding]:
     cfg = build_cfg(
         fn.node,
+        project.catches,
         raises_of=graph.raises_callback(fn, TRACKED_EXCEPTIONS),
-        catches=project.catches,
     )
 
     def transfer(
@@ -270,153 +208,3 @@ def _escaping_names(stmt: ast.AST) -> set[str]:
                 if isinstance(sub, ast.Name):
                     out.add(sub.id)
     return out
-
-
-# ---------------------------------------------------------------------------
-# LIF002 — begin_chunk must not be abandoned by an exception.
-# ---------------------------------------------------------------------------
-
-
-@register_project_rule(
-    "LIF002",
-    Severity.ERROR,
-    "begin_chunk may be abandoned by an escaping shed-family exception "
-    "before commit_chunk",
-)
-def abandoned_chunk(project: Project) -> Iterator[Finding]:
-    graph = project.callgraph
-    for fn in project.iter_functions():
-        if not _in_scope(fn):
-            continue
-        sites = graph.call_sites(fn)
-        if not any(s.name == "begin_chunk" for s in sites):
-            continue
-        cfg = build_cfg(
-            fn.node,
-            raises_of=graph.raises_callback(fn, TRACKED_EXCEPTIONS),
-            catches=project.catches,
-        )
-
-        def transfer(
-            node: object, state: "frozenset[tuple[str, int]]"
-        ) -> "frozenset[tuple[str, int]]":
-            stmt = getattr(node, "stmt", None)
-            if stmt is None:
-                return state
-            facts = set(state)
-            for site in graph.sites_in_statement(fn, stmt):
-                if site.name == "commit_chunk" and site.receiver is not None:
-                    facts = {f for f in facts if f[0] != site.receiver}
-                elif site.name == "release" and site.receiver is not None:
-                    # Releasing the whole request tears down the chunk.
-                    root = site.receiver.split(".")[0]
-                    facts = {
-                        f
-                        for f in facts
-                        if f[0] != site.receiver
-                        and f[0].split(".")[0] != root
-                    }
-            for site in graph.sites_in_statement(fn, stmt):
-                if site.name == "begin_chunk" and site.receiver is not None:
-                    facts.add((site.receiver, site.call.lineno))
-            return frozenset(facts)
-
-        states = run_forward(cfg, frozenset(), transfer, union_join)
-        seen: set[tuple[str, int]] = set()
-        for receiver, lineno in sorted(
-            states.get(RAISE_EXIT, frozenset()), key=lambda f: f[1]
-        ):
-            if (receiver, lineno) in seen:
-                continue
-            seen.add((receiver, lineno))
-            anchor = ast.stmt()
-            anchor.lineno = lineno
-            anchor.col_offset = 0
-            yield fn.module.finding(
-                "LIF002",
-                Severity.ERROR,
-                anchor,
-                f"begin_chunk on {receiver!r} may be abandoned by an "
-                f"escaping shed-family exception before commit_chunk "
-                f"(in {fn.qualname}); catch it and commit or release",
-            )
-
-
-# ---------------------------------------------------------------------------
-# LIF003 — every opening op needs its closer somewhere in the project.
-# ---------------------------------------------------------------------------
-
-
-@register_project_rule(
-    "LIF003",
-    Severity.ERROR,
-    "an opening lifecycle op has no paired closing op anywhere in the "
-    "project",
-)
-def unpaired_protocol(project: Project) -> Iterator[Finding]:
-    graph = project.callgraph
-    opener_sites: dict[int, list[CallSite]] = {i: [] for i in range(len(PROTOCOLS))}
-    closer_classes: dict[int, list["str | None"]] = {
-        i: [] for i in range(len(PROTOCOLS))
-    }
-    for fn in project.iter_functions():
-        if not fn.module.is_repro:
-            continue
-        for site in graph.call_sites(fn):
-            for idx, proto in enumerate(PROTOCOLS):
-                if site.name in proto.openers:
-                    if proto.typed:
-                        cls = graph.receiver_class(site)
-                        if cls is None or project.resolve_method(
-                            cls, site.name
-                        ) is None:
-                            continue
-                    opener_sites[idx].append(site)
-                if site.name in proto.closers:
-                    cls = graph.receiver_class(site)
-                    closer_classes[idx].append(cls.name if cls else None)
-    for idx, proto in enumerate(PROTOCOLS):
-        for site in opener_sites[idx]:
-            if _has_matching_closer(
-                project, graph, proto, site, closer_classes[idx]
-            ):
-                continue
-            yield site.caller.module.finding(
-                "LIF003",
-                Severity.ERROR,
-                site.call,
-                f"{proto.label}: {site.name!r} is opened here but "
-                f"{_fmt_ops(proto.closers)} is never called anywhere in "
-                f"the project — the protocol cannot terminate",
-            )
-
-
-def _has_matching_closer(
-    project: Project,
-    graph: CallGraph,
-    proto: _Protocol,
-    site: CallSite,
-    closer_class_names: "list[str | None]",
-) -> bool:
-    if not proto.typed:
-        return bool(closer_class_names)
-    # Typed protocols accept a closer on any class that itself defines
-    # one of the protocol's openers: the router's ``submit`` delegates
-    # to the engine's, whose ``_finish`` terminates the request — the
-    # obligation travels with the protocol family, not one class.
-    for name in closer_class_names:
-        if name is None:
-            continue
-        closer_cls = project.class_named(name)
-        if closer_cls is None:
-            continue
-        if any(
-            project.resolve_method(closer_cls, opener) is not None
-            for opener in proto.openers
-        ):
-            return True
-    return False
-
-
-def _fmt_ops(ops: frozenset[str]) -> str:
-    return "/".join(sorted(ops))

@@ -10,9 +10,8 @@ contracts and gated reports) the rule flags ``sum`` over ``.values()``,
 comprehensions drawing from one of those.  Fix by imposing an order
 (``sum(sorted(...))``) or summing a deterministic sequence.
 
-Heuristic (AST cannot see element types), so it ships as a *warning*:
-integer sums are genuinely safe and earn an inline
-``# repro: ignore[NUM001]``.
+Heuristic (AST cannot see element types): integer sums are genuinely
+safe and earn an inline ``# repro: ignore[NUM001] -- integers``.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ def _is_unordered(node: ast.expr) -> str | None:
 
 @register_rule(
     "NUM001",
-    Severity.WARNING,
+    Severity.ERROR,
     "float sum over an unordered container",
 )
 def unordered_sum(module: ModuleInfo) -> Iterator[Finding]:
@@ -75,7 +74,7 @@ def unordered_sum(module: ModuleInfo) -> Iterator[Finding]:
         if label is not None:
             yield module.finding(
                 "NUM001",
-                Severity.WARNING,
+                Severity.ERROR,
                 node,
                 f"sum over {label} accumulates in hash order — float "
                 "results depend on insertion history; sort first "

@@ -1,4 +1,4 @@
-"""SEE — determinism taint: seeds must reach every RNG construction.
+"""SEE002 — seeds must reach every RNG construction inside ``repro.*``.
 
 DET002 already bans *global-state* RNG (``np.random.normal``,
 ``random.random``).  What it cannot see is a locally constructed
@@ -6,21 +6,13 @@ generator with no seed::
 
     rng = np.random.default_rng()     # fresh OS entropy every run
 
-which is exactly as replay-hostile as the global one, and worse when it
-hides three calls below a serving entry point: the trace replays,
-admission decisions differ, and the bit-exactness contract silently
-becomes "usually".  These rules walk the call graph so the finding
-lands at the construction site *with the chain that reaches it*:
-
-========  ==========================================================
-SEE001    an unseeded ``default_rng()`` / ``Random()`` /
-          ``RandomState()`` construction reachable from a public
-          serve/workload entry point (error; the call chain from the
-          entry point is printed in the message).
-SEE002    an unseeded construction elsewhere inside ``repro.*``
-          (warning — not provably on a serving path, still
-          replay-hostile).
-========  ==========================================================
+which is exactly as replay-hostile as the global one: the trace
+replays, admission decisions differ, and the bit-exactness contract
+silently becomes "usually".  The rule flags every unseeded
+``default_rng()`` / ``RandomState()`` / ``random.Random()``
+construction in the shipped package — in a function or at import time,
+on a serving path or in the codec's calibration (the live-tree mutants
+the test suite does not catch are the calibration ones).
 
 Seeded means a non-``None`` first argument or ``seed=`` keyword;
 ``default_rng(None)`` is spelled-out entropy and still fires.  Tests
@@ -32,10 +24,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..callgraph import CallGraph, CallSite
+from ..cfg import terminal_name
 from ..findings import Finding, Severity
-from ..project import FunctionInfo, Project
-from ..registry import register_project_rule
+from ..registry import register_rule
 from ..runner import ModuleInfo
 
 #: Construction names that mint a generator.
@@ -50,7 +41,8 @@ def _imports_random_class(module: ModuleInfo) -> bool:
     return False
 
 
-def _is_rng_construction(call: ast.Call, name: str, module: ModuleInfo) -> bool:
+def _is_rng_construction(call: ast.Call, module: ModuleInfo) -> bool:
+    name = terminal_name(call.func)
     if name in _RNG_SUFFIXES:
         return True
     if name == "Random":
@@ -71,132 +63,31 @@ def _is_unseeded(call: ast.Call) -> bool:
     if call.args and isinstance(call.args[0], ast.Starred):
         return False
     if not seed_args:
-        return not call.keywords or all(k.arg != "seed" for k in call.keywords)
+        return True
     first = seed_args[0]
     return isinstance(first, ast.Constant) and first.value is None
 
 
-def _serve_roots(project: Project) -> list[FunctionInfo]:
-    roots: list[FunctionInfo] = []
-    for fn in project.iter_functions():
-        mod = fn.module.repro_module or ""
-        if not mod.startswith("serve"):
-            continue
-        if not fn.is_public:
-            continue
-        if fn.cls is not None and fn.cls.name.startswith("_"):
-            continue
-        roots.append(fn)
-    return roots
-
-
-def _short(fn: FunctionInfo) -> str:
-    qual = fn.qualname.split("::", 1)[-1]
-    mod = fn.module.repro_module
-    return f"{mod}.{qual}" if mod else qual
-
-
-def _unseeded_sites(
-    project: Project, graph: CallGraph
-) -> Iterator[tuple[CallSite, FunctionInfo]]:
-    for fn in project.iter_functions():
-        if not fn.module.is_repro:
-            continue
-        for site in graph.call_sites(fn):
-            if _is_rng_construction(site.call, site.name, fn.module) and _is_unseeded(
-                site.call
-            ):
-                yield site, fn
-
-
-def _module_level_sites(
-    module: ModuleInfo,
-) -> Iterator[ast.Call]:
-    """Unseeded constructions outside any function (import-time RNG)."""
-    assert isinstance(module.tree, ast.Module)
-    stack: list[ast.AST] = list(module.tree.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if isinstance(node, ast.Call):
-            from ..cfg import terminal_name
-
-            name = terminal_name(node.func)
-            if (
-                name is not None
-                and _is_rng_construction(node, name, module)
-                and _is_unseeded(node)
-            ):
-                yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
-@register_project_rule(
-    "SEE001",
-    Severity.ERROR,
-    "unseeded RNG construction reachable from a serve/workload entry "
-    "point (seeds must flow from an explicit parameter or config)",
-)
-def unseeded_rng_on_serving_path(project: Project) -> Iterator[Finding]:
-    graph = project.callgraph
-    parent = graph.reachable_from(_serve_roots(project))
-    for site, fn in _unseeded_sites(project, graph):
-        if fn not in parent:
-            continue
-        chain = " -> ".join(_short(f) for f in CallGraph.chain(parent, fn))
-        yield fn.module.finding(
-            "SEE001",
-            Severity.ERROR,
-            site.call,
-            f"unseeded {site.name}() on a serving path "
-            f"(reached via {chain}); thread an explicit seed from the "
-            f"caller's parameter or config",
-        )
-    # Import-time constructions in serve modules are trivially on the
-    # serving path.
-    for module in project.modules:
-        mod = module.repro_module or ""
-        if not mod.startswith("serve"):
-            continue
-        for call in _module_level_sites(module):
-            yield module.finding(
-                "SEE001",
-                Severity.ERROR,
-                call,
-                f"unseeded RNG constructed at import time of repro.{mod}; "
-                f"thread an explicit seed instead",
-            )
-
-
-@register_project_rule(
+@register_rule(
     "SEE002",
-    Severity.WARNING,
-    "unseeded RNG construction inside repro.* (replay-hostile even off "
-    "the serving path)",
+    Severity.ERROR,
+    "unseeded RNG construction inside repro.* (seeds must flow from an "
+    "explicit parameter or config)",
 )
-def unseeded_rng_in_repro(project: Project) -> Iterator[Finding]:
-    graph = project.callgraph
-    parent = graph.reachable_from(_serve_roots(project))
-    for site, fn in _unseeded_sites(project, graph):
-        if fn in parent:
-            continue  # SEE001 already owns it
-        yield fn.module.finding(
-            "SEE002",
-            Severity.WARNING,
-            site.call,
-            f"unseeded {site.name}() in {fn.qualname}; thread an "
-            f"explicit seed so runs replay bit-exactly",
-        )
-    for module in project.modules:
-        mod = module.repro_module
-        if mod is None or mod.startswith("serve"):
-            continue
-        for call in _module_level_sites(module):
+def unseeded_rng_in_repro(module: ModuleInfo) -> Iterator[Finding]:
+    if not module.is_repro:
+        return
+    for node in ast.walk(module.tree):
+        if (
+            isinstance(node, ast.Call)
+            and _is_rng_construction(node, module)
+            and _is_unseeded(node)
+        ):
             yield module.finding(
                 "SEE002",
-                Severity.WARNING,
-                call,
-                f"unseeded RNG constructed at import time of "
-                f"repro.{mod}; thread an explicit seed instead",
+                Severity.ERROR,
+                node,
+                "unseeded RNG construction; thread an explicit seed from "
+                "the caller's parameter or config so runs replay "
+                "bit-exactly",
             )

@@ -8,9 +8,10 @@ findings whose anchor line carries a matching inline suppression::
     clock = time.monotonic  # repro: ignore[DET001] -- measured, not replayed
     risky()                 # repro: ignore          (suppresses every rule)
 
-Suppressions are line-scoped and rule-scoped on purpose: a file-wide
-waiver belongs in the checked-in baseline where reviewers see it
-aggregated, not scattered through the source.
+Suppressions are line-scoped and rule-scoped on purpose, and inside
+``src/repro/`` one only counts when it says why (``-- reason``): a
+waiver in the shipped package is reviewed where it stands.  Test and
+benchmark fixtures may use the bare form.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ SKIP_DIRS = frozenset({"__pycache__", ".git", ".cache", ".venv", "build", "dist"
 
 _SUPPRESS_RE = re.compile(
     r"#\s*repro:\s*ignore(?:\[(?P<rules>[A-Za-z0-9_,\s]*)\])?"
+    r"(?P<reason>\s*--\s*\S)?"
 )
 
 
@@ -108,13 +110,15 @@ class ModuleInfo:
 _NOT_MARKED: frozenset[str] = frozenset({"\x00not-marked"})
 
 
-def _parse_suppressions(lines: list[str]) -> dict[int, frozenset[str] | None]:
+def _parse_suppressions(
+    lines: list[str], need_reason: bool
+) -> dict[int, frozenset[str] | None]:
     out: dict[int, frozenset[str] | None] = {}
     for idx, line in enumerate(lines, start=1):
         if "repro:" not in line:
             continue
         match = _SUPPRESS_RE.search(line)
-        if match is None:
+        if match is None or (need_reason and match.group("reason") is None):
             continue
         rules = match.group("rules")
         if rules is None:
@@ -146,7 +150,9 @@ def parse_module(source: str, relpath: str) -> ModuleInfo | Finding:
         source=source,
         tree=tree,
         lines=lines,
-        suppressions=_parse_suppressions(lines),
+        suppressions=_parse_suppressions(
+            lines, need_reason=relpath.startswith("src/repro/")
+        ),
     )
 
 

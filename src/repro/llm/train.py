@@ -26,7 +26,10 @@ _ZOO_VERSION = "v1"
 
 def zoo_dir() -> Path:
     """The proxy-model cache directory (override with ECCO_CACHE_DIR)."""
-    root = os.environ.get("ECCO_CACHE_DIR")
+    # Deliberate escape hatch: ECCO_CACHE_DIR relocates the model-zoo disk
+    # cache (CI, read-only checkouts); it decides where weights are stored,
+    # never what they contain.
+    root = os.environ.get("ECCO_CACHE_DIR")  # repro: ignore[DET003] -- cache location only
     if root is None:
         base = Path(__file__).resolve()
         for parent in base.parents:

@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    ACT_CONFIG,
     KV_CONFIG,
     WEIGHT_CONFIG,
     EccoTensorCodec,
     KVCacheCodec,
     KVCacheStream,
+    TensorMeta,
     calibrate_kv_meta,
     compress_weight,
     fit_tensor_meta,
@@ -155,3 +157,87 @@ def test_kv_config_uses_minmax_selection():
     assert KV_CONFIG.num_patterns == 16
     assert WEIGHT_CONFIG.pattern_select == "mse"
     assert WEIGHT_CONFIG.num_patterns == 64
+
+
+def _hostile_rows(rng, n):
+    nan_inf = rng.standard_normal(n)
+    nan_inf[::7], nan_inf[3::11], nan_inf[5::13] = np.nan, np.inf, -np.inf
+    return {
+        "zeros": np.zeros(n),
+        "constant": np.full(n, 3.25),
+        "denormal": np.full(n, 1e-42),
+        "fp16-max": 6e4 * np.where(np.arange(n) % 2, -1.0, 1.0),
+        "cauchy": rng.standard_cauchy(n),
+        "nan-inf": nan_inf,
+    }
+
+
+def _hostile_meta(kind, config, rng):
+    if kind == "fitted":
+        calib = rng.standard_t(df=5, size=(64, 4 * config.group_size)) * 0.05
+        return fit_tensor_meta(calib.astype(np.float32), config=config)
+    patterns = np.sort(
+        rng.uniform(-1.0, 1.0, size=(config.num_patterns, 15)), axis=1
+    ).astype(np.float32)
+    if kind == "force-fit":
+        # Flat 4-bit codebooks shed nothing (127 * 4 + header > 512 bits);
+        # only the last codebook's 1-bit escape symbol can make a group fit.
+        lengths = np.full((config.num_codebooks, 15), 4, dtype=np.uint8)
+        if config.num_codebooks > 1:
+            lengths[-1] = [1] + [8] * 14
+    else:  # "tight": Kraft sum exactly 1, ~4 bits/symbol, so clipping fires
+        lengths = np.tile(
+            np.array([3, 3] + [4] * 11 + [5, 5], dtype=np.uint8),
+            (config.num_codebooks, 1),
+        )
+    return TensorMeta(
+        patterns=patterns, codebook_lengths=lengths, tensor_exp=0, config=config
+    )
+
+
+@pytest.mark.parametrize("group_size", [128, 63])
+@pytest.mark.parametrize("kind", ["fitted", "force-fit", "tight"])
+@pytest.mark.parametrize(
+    "preset", [WEIGHT_CONFIG, KV_CONFIG, ACT_CONFIG], ids=["weight", "kv", "act"]
+)
+def test_hostile_rows_fit_their_blocks_or_raise(preset, kind, group_size):
+    """Zeros, constants, denormals, fp16-max, Cauchy and NaN/inf rows through
+    every preset: blocks are 64 bytes, pack -> unpack -> re-pack is bit-exact
+    (for finite rows) and decode equals the fast path.  The force-shortest-codes fallback either
+    fits the group or raises its ValueError — it never overflows the writer;
+    only a meta whose every codebook is flat (ACT's single one) may raise."""
+    config = preset.replace(group_size=group_size)
+    rng = np.random.default_rng(group_size)
+    meta = _hostile_meta(kind, config, rng)
+    codec = EccoTensorCodec(meta)
+    cannot_fit = (
+        kind == "force-fit" and config.num_codebooks == 1 and group_size == 128
+    )
+    for name, row in _hostile_rows(rng, 5 * group_size).items():
+        tensor = row.astype(np.float32)
+        with np.errstate(all="ignore"):
+            if cannot_fit:
+                with pytest.raises(ValueError, match="group cannot fit its block"):
+                    codec.encode(tensor)
+                continue
+            compressed = codec.encode(tensor)
+            assert compressed.blocks.shape == (5, 64), name
+            assert compressed.blocks.dtype == np.uint8
+            plan = codec.plan_from_blocks(
+                compressed.blocks, compressed.shape, compressed.pad
+            )
+            repacked = codec.encode_plan(plan)
+            if np.isfinite(tensor).all():
+                assert np.array_equal(repacked.blocks, compressed.blocks), name
+            else:
+                # A NaN residual claims an outlier slot whose 8-bit correction
+                # packs to 0, which the dense unpacked form cannot express: the
+                # re-pack drops the slot (ROADMAP item 5) but decodes the same.
+                assert np.array_equal(
+                    codec.decode(repacked), codec.decode(compressed), equal_nan=True
+                ), name
+            assert np.array_equal(
+                codec.decode(compressed),
+                simulate_roundtrip(meta, tensor).values,
+                equal_nan=True,
+            ), name
