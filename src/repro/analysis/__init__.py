@@ -22,16 +22,17 @@ INV002   no bare ``except:``
 INV003   shed-family exceptions never swallowed silently
 INV004   no mutable default arguments inside ``repro.*``
 NUM001   no float ``sum`` over unordered containers
-LIF001   locally acquired resources released on every path
+LIF001   locally acquired resources handed off before anything can leave
 AWA001   no stale read-modify-write of shared state across ``await``
 AWA002   no ``self.X += await ...`` read-modify-write
 =======  ==========================================================
 
-Most rules judge one file at a time.  ASY002, AWA001/002 and LIF001 are
-*project* rules over the cross-module index (``analysis.project``);
-AWA001 and LIF001 run a worklist dataflow (``analysis.dataflow``) over a
-per-function CFG (``analysis.cfg``), and LIF001 alone needs the call
-graph's raise/close summaries (``analysis.callgraph``).
+Every rule judges one file at a time except ASY002, the one *project*
+rule: it is handed every parsed module because it needs each ``async
+def`` name in the tree.  The two flow-sensitive rules read statement
+order straight off the AST: LIF001 is a straight-line check over one
+statement list, AWA001 a structured forward walk over an ``async def``
+body (``rules.lifecycle``, ``rules.atomicity``).
 
 Suppress a single judged-safe line inline; inside ``src/repro/`` the
 suppression only counts when it carries a reason::

@@ -4,7 +4,7 @@ Human-readable report on stdout (``--format json`` prints the findings
 document instead); ``--output FILE`` additionally writes that JSON
 document to a file.  One code path: the CLI calls the same
 :func:`~repro.analysis.runner.analyze_paths` the library and the tests
-do, cold, every time (about 1.5 s on this tree).
+do, cold, every time (about 2 s on this tree).
 
 Exit status: 0 when there are no findings; 1 when there are; 2 for
 usage problems (a path that does not exist).

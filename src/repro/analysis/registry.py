@@ -19,11 +19,10 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 from .findings import Finding, Severity
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from .project import Project
     from .runner import ModuleInfo
 
 RuleFn = Callable[["ModuleInfo"], Iterable[Finding]]
-ProjectRuleFn = Callable[["Project"], Iterable[Finding]]
+ProjectRuleFn = Callable[["list[ModuleInfo]"], Iterable[Finding]]
 
 
 @dataclass(frozen=True)
@@ -43,10 +42,10 @@ class Rule:
 class ProjectRule:
     """A rule that judges the whole project at once.
 
-    Per-module rules see one file; project rules get the cross-module
-    :class:`~repro.analysis.project.Project` index (every function and
-    class, cross-linked), which is what ASY002, AWA001/002 and LIF001
-    run on.  Findings flow into the same suppression pipeline.
+    Per-module rules see one file; a project rule gets every parsed
+    :class:`~repro.analysis.runner.ModuleInfo` of the run.  ASY002 is
+    the one rule that needs it (every ``async def`` name in the tree).
+    Findings flow into the same suppression pipeline.
     """
 
     rule_id: str
@@ -54,8 +53,8 @@ class ProjectRule:
     summary: str
     fn: ProjectRuleFn
 
-    def check(self, project: "Project") -> Iterator[Finding]:
-        yield from self.fn(project)
+    def check(self, modules: "list[ModuleInfo]") -> Iterator[Finding]:
+        yield from self.fn(modules)
 
 
 _REGISTRY: dict[str, Rule] = {}

@@ -27,6 +27,17 @@ def dotted(node: ast.AST) -> str | None:
     return None
 
 
+def terminal_name(node: ast.AST | None) -> str | None:
+    """The final identifier of a name/attribute chain (``a.b.C`` → C)."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
 def module_aliases(tree: ast.AST) -> dict[str, str]:
     """Map local alias -> imported module name (``import x as y``)."""
     aliases: dict[str, str] = {}
@@ -52,7 +63,7 @@ def walk_skipping_defs(body: list[ast.stmt]) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
-# Registration side effects: each module calls register_rule (or
+# Registration side effects: each module calls register_rule (ASY002:
 # register_project_rule) at import.
 from . import (  # noqa: E402,F401
     async_safety,

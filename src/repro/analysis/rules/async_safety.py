@@ -25,7 +25,6 @@ import ast
 from typing import Iterator
 
 from ..findings import Finding, Severity
-from ..project import Project
 from ..registry import register_project_rule, register_rule
 from ..runner import ModuleInfo
 from . import dotted, module_aliases, walk_skipping_defs
@@ -88,11 +87,16 @@ def blocking_in_async(module: ModuleInfo) -> Iterator[Finding]:
     Severity.ERROR,
     "coroutine call never awaited",
 )
-def never_awaited(project: Project) -> Iterator[Finding]:
-    names = frozenset(fn.name for fn in project.iter_functions() if fn.is_async)
+def never_awaited(modules: list[ModuleInfo]) -> Iterator[Finding]:
+    names = frozenset(
+        node.name
+        for module in modules
+        for node in ast.walk(module.tree)
+        if isinstance(node, ast.AsyncFunctionDef)
+    )
     if not names:
         return
-    for module in project.modules:
+    for module in modules:
         imported: dict[str, str] | None = None
         for node in ast.walk(module.tree):
             if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)):

@@ -1,27 +1,33 @@
-"""LIF001 — a locally acquired pool resource must not leak.
+"""LIF001 — a locally acquired pool resource is handed off at once.
 
-The page-lifecycle bug class (double frees, orphaned cached chains,
-pins leaked on the ``BudgetExceededError`` path) cost PRs 4–5 most of
-their debugging time, and every instance had the same shape: an acquire
-whose paired release is missed on *some* path — usually the exception
-path.  LIF001 encodes that pairing as typestate over the CFG and call
-graph: a locally-held resource (``kv = backend.create_request(...)``,
-``page, _ = pool.acquire(...)``) may not reach function exit — normal
-or via an escaping tracked exception — neither released nor handed off.
-Hand-offs are resolved through the call graph: ``self._finish(kv)``
-counts as a release because ``_finish`` calls ``kv.release()``; storing
-to an attribute, container or return value transfers ownership.
+The page-lifecycle bug class (orphaned cached chains, pins leaked on the
+``BudgetExceededError`` path) cost PRs 4–5 most of their debugging time,
+and every instance had the same shape: an acquire whose owner is
+recorded too late, so *some* way out of the function — usually an
+exception — leaves a pinned page nobody will release.  LIF001 closes
+that window where it opens.  After ::
 
-Exception edges use the call graph's transitive raise summaries for the
-shed family (``BudgetExceededError`` and subclasses), so a call that
-reaches a ``raise BudgetExceededError`` counts as a possible raise point
-in the *caller's* CFG, with local ``except`` clauses matched by class
-hierarchy.  On the live tree this is what the rule is kept for: a
-shed-family raise planted between ``pool.acquire`` and
-``self.pages.append(page)`` is flagged here and by no tier-1 test
-(``pageify-raise-before-handoff`` in ``tests/mutants.py``).  Dropped
-``release()``/``commit_chunk()`` calls are *not* this rule's business —
-the budget tests kill those in seconds.
+    kv = backend.create_request(...)
+    page, _ = pool.acquire(...)
+
+binds a local, the following statements of the same block must hand the
+resource off — store it (``request.kv = kv``), pass it
+(``self.pages.append(page)``), return or yield it, ``release()`` it, or
+be a ``try`` whose ``finally`` does one of those — before any statement
+that can leave: one containing a ``raise``, ``return``, ``await``,
+``yield`` or a call.  Plain assignments in between are fine; the block
+ending first is not.
+
+That is a straight-line check over one statement list: no call
+resolution (any call might raise, so none is allowed in the window) and
+no flow graph (a hand-off behind a branch or a loop is not a hand-off).
+On the live tree it is what flags a shed-family raise planted between
+``pool.acquire`` and ``self.pages.append(page)``
+(``pageify-raise-before-handoff`` in ``tests/mutants.py``) and a pin
+recorded only after the per-layer segment loop
+(``attach-append-after-segments``); neither is seen by any tier-1 test.
+Dropped ``release()``/``commit_chunk()`` calls are *not* this rule's
+business — the budget tests kill those in seconds.
 """
 
 from __future__ import annotations
@@ -29,18 +35,10 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..callgraph import CallGraph, CallSite
-from ..cfg import EXIT, RAISE_EXIT, build_cfg, terminal_name, walk_header
-from ..dataflow import run_forward, union_join
 from ..findings import Finding, Severity
-from ..project import FunctionInfo, Project
-from ..registry import register_project_rule
-
-#: The shed family: raised between acquire and release, these are the
-#: exceptions that historically leaked resources.
-TRACKED_EXCEPTIONS = frozenset(
-    {"BudgetExceededError", "RequestShedError", "RequestTimeoutError"}
-)
+from ..registry import register_rule
+from ..runner import ModuleInfo
+from . import terminal_name
 
 #: Acquire factories: call name -> does the resource land in the first
 #: element of a tuple target (``page, shared = pool.acquire(...)``)?
@@ -48,163 +46,114 @@ ACQUIRE_OPS: dict[str, bool] = {"create_request": False, "acquire": True}
 
 CLOSE_OPS = frozenset({"release"})
 
-
-def _assign_targets(stmt: ast.AST) -> list[ast.expr]:
-    if isinstance(stmt, ast.Assign):
-        return list(stmt.targets)
-    if isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-        return [stmt.target]
-    return []
+#: A statement containing one of these can leave its block (or run code
+#: that can) before the statement after it executes.
+_CAN_LEAVE = (ast.Raise, ast.Return, ast.Await, ast.Yield, ast.YieldFrom, ast.Call)
 
 
-def _acquired_var(stmt: ast.AST) -> "tuple[str, ast.Call] | None":
-    """``var`` bound to an acquire-factory call by this statement."""
-    targets = _assign_targets(stmt)
-    if len(targets) != 1:
+def _acquired_var(stmt: ast.stmt) -> str | None:
+    """The local this statement binds to an acquire-factory call."""
+    target: ast.expr
+    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+        target = stmt.targets[0]
+    elif isinstance(stmt, ast.AnnAssign):
+        target = stmt.target
+    else:
         return None
-    value = stmt.value if isinstance(stmt, (ast.Assign, ast.AnnAssign)) else None
-    if not isinstance(value, ast.Call):
+    if not isinstance(stmt.value, ast.Call):
         return None
-    name = terminal_name(value.func)
+    name = terminal_name(stmt.value)
     if name not in ACQUIRE_OPS:
         return None
-    target = targets[0]
     if ACQUIRE_OPS[name] and isinstance(target, ast.Tuple) and target.elts:
         target = target.elts[0]
-    if isinstance(target, ast.Name):
-        return target.id, value
-    return None
+    return target.id if isinstance(target, ast.Name) else None
 
 
-# ---------------------------------------------------------------------------
-# LIF001 — locally-held resources must be released or handed off.
-# ---------------------------------------------------------------------------
+def _mentions(expr: ast.AST, var: str) -> bool:
+    return any(isinstance(n, ast.Name) and n.id == var for n in ast.walk(expr))
 
-@register_project_rule(
+
+def _hands_off(stmt: ast.stmt, var: str) -> bool:
+    """Does ``stmt`` store, pass, return, yield or release ``var``?
+
+    Only a simple statement can (or a ``try`` through its ``finally``):
+    a hand-off inside an ``if`` or a loop body may not run.
+    """
+    if isinstance(stmt, ast.Try):
+        return any(_hands_off(s, var) for s in stmt.finalbody)
+    targets: list[ast.expr]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+        targets = [stmt.target]
+    elif isinstance(stmt, (ast.Expr, ast.Return)):
+        targets = []
+    else:
+        return False
+    if stmt.value is None:
+        return False
+    escapes = isinstance(stmt, ast.Return) or any(
+        isinstance(t, (ast.Attribute, ast.Subscript)) for t in targets
+    )
+    if escapes and _mentions(stmt.value, var):
+        return True
+    for node in ast.walk(stmt.value):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr in CLOSE_OPS
+                and isinstance(func.value, ast.Name)
+                and func.value.id == var
+            ):
+                return True
+            passed = [*node.args, *(kw.value for kw in node.keywords)]
+            if any(isinstance(a, ast.Name) and a.id == var for a in passed):
+                return True
+        elif isinstance(node, (ast.Yield, ast.YieldFrom)) and node.value is not None:
+            if _mentions(node.value, var):
+                return True
+    return False
+
+
+def _gap(rest: list[ast.stmt], var: str) -> str | None:
+    """Why ``var`` can leak in the statements after its acquire, if it can."""
+    for stmt in rest:
+        if _hands_off(stmt, var):
+            return None
+        if any(isinstance(n, _CAN_LEAVE) for n in ast.walk(stmt)):
+            return f"line {stmt.lineno} can raise or leave"
+    return "its block ends"
+
+
+def _check_block(module: ModuleInfo, block: list[ast.stmt]) -> Iterator[Finding]:
+    for idx, stmt in enumerate(block):
+        var = _acquired_var(stmt)
+        why = _gap(block[idx + 1 :], var) if var is not None else None
+        if why is not None:
+            yield module.finding(
+                "LIF001",
+                Severity.ERROR,
+                stmt,
+                f"resource {var!r} acquired here is not stored, passed, "
+                f"returned or released before {why}; hand it off "
+                f"first, or guard the gap with try/finally",
+            )
+
+
+@register_rule(
     "LIF001",
     Severity.ERROR,
-    "a locally acquired resource may leak on some path "
-    "(release it, hand it off, or guard with try/finally)",
+    "a locally acquired resource must be handed off before anything "
+    "that can leave (store/pass/return/release it, or try/finally)",
 )
-def local_resource_leak(project: Project) -> Iterator[Finding]:
-    graph = CallGraph(project)
-    for fn in project.iter_functions():
-        if not fn.module.is_repro:
-            continue
-        if not any(s.name in ACQUIRE_OPS for s in graph.call_sites(fn)):
-            continue
-        yield from _check_function_leaks(project, graph, fn)
-
-
-def _check_function_leaks(
-    project: Project, graph: CallGraph, fn: FunctionInfo
-) -> Iterator[Finding]:
-    cfg = build_cfg(
-        fn.node,
-        project.catches,
-        raises_of=graph.raises_callback(fn, TRACKED_EXCEPTIONS),
-    )
-
-    def transfer(
-        node: object, state: "frozenset[tuple[str, int]]"
-    ) -> "frozenset[tuple[str, int]]":
-        stmt = getattr(node, "stmt", None)
-        if stmt is None:
-            return state
-        facts = set(state)
-        # Closes, hand-offs and escapes first; acquisition last (a
-        # statement may do both, e.g. rebinding).
-        closed: set[str] = set()
-        for site in graph.sites_in_statement(fn, stmt):
-            if site.name in CLOSE_OPS and site.receiver is not None:
-                closed.add(site.receiver)
-                continue
-            closed.update(_handed_off(graph, site, facts))
-        # Escapes: stored to attribute/subscript, returned, yielded.
-        for name in _escaping_names(stmt):
-            closed.add(name)
-        # Rebinds kill tracking of the old value.
-        for target in _assign_targets(stmt):
-            if isinstance(target, ast.Name):
-                closed.add(target.id)
-            elif isinstance(target, ast.Tuple):
-                closed.update(
-                    e.id for e in target.elts if isinstance(e, ast.Name)
-                )
-        if closed:
-            facts = {f for f in facts if f[0] not in closed}
-        acquired = _acquired_var(stmt)
-        if acquired is not None:
-            var, call = acquired
-            facts = {f for f in facts if f[0] != var}
-            facts.add((var, call.lineno))
-        return frozenset(facts)
-
-    states = run_forward(cfg, frozenset(), transfer, union_join)
-    leaks: dict[tuple[str, int], set[str]] = {}
-    for exit_id, how in ((EXIT, "function exit"), (RAISE_EXIT, "an escaping exception")):
-        for fact in states.get(exit_id, frozenset()):
-            leaks.setdefault(fact, set()).add(how)
-    for (var, lineno), hows in sorted(leaks.items(), key=lambda kv: kv[0][1]):
-        anchor = ast.stmt()
-        anchor.lineno = lineno
-        anchor.col_offset = 0
-        yield fn.module.finding(
-            "LIF001",
-            Severity.ERROR,
-            anchor,
-            f"resource {var!r} acquired here may reach "
-            f"{' and '.join(sorted(hows))} without release "
-            f"(in {fn.qualname}); release it on every path or hand it off",
-        )
-
-
-def _handed_off(
-    graph: CallGraph, site: CallSite, facts: "set[tuple[str, int]]"
-) -> set[str]:
-    """Tracked names this call closes or takes ownership of."""
-    live = {f[0] for f in facts}
-    passed = {
-        a.id for a in site.call.args if isinstance(a, ast.Name) and a.id in live
-    }
-    passed |= {
-        kw.value.id
-        for kw in site.call.keywords
-        if isinstance(kw.value, ast.Name) and kw.value.id in live
-    }
-    if not passed:
-        return set()
-    callees = graph.resolve(site)
-    if not callees:
-        # Unknown callee (or a container method): ownership escapes;
-        # the benefit of the doubt keeps may-analysis findings honest.
-        return passed
-    gone: set[str] = set()
-    for arg_name, callee_param in graph.argument_bindings(site, callees):
-        if arg_name not in passed:
-            continue
-        for callee in callees:
-            if callee_param in graph.closes_params(callee, CLOSE_OPS):
-                gone.add(arg_name)
-    return gone
-
-
-def _escaping_names(stmt: ast.AST) -> set[str]:
-    out: set[str] = set()
-    if isinstance(stmt, (ast.Return,)) and stmt.value is not None:
-        for node in ast.walk(stmt.value):
-            if isinstance(node, ast.Name):
-                out.add(node.id)
-    for target in _assign_targets(stmt):
-        if isinstance(target, (ast.Attribute, ast.Subscript)):
-            value = getattr(stmt, "value", None)
-            if value is not None:
-                for node in ast.walk(value):
-                    if isinstance(node, ast.Name):
-                        out.add(node.id)
-    for node in walk_header(stmt):
-        if isinstance(node, (ast.Yield, ast.YieldFrom)) and node.value is not None:
-            for sub in ast.walk(node.value):
-                if isinstance(sub, ast.Name):
-                    out.add(sub.id)
-    return out
+def local_resource_leak(module: ModuleInfo) -> Iterator[Finding]:
+    if not module.is_repro:
+        return
+    for owner in ast.walk(module.tree):
+        for field in ("body", "orelse", "finalbody"):
+            block = getattr(owner, field, None)
+            # ``IfExp``/``Lambda`` bodies are expressions, not blocks.
+            if isinstance(block, list):
+                yield from _check_block(module, block)

@@ -24,10 +24,10 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..cfg import terminal_name
 from ..findings import Finding, Severity
 from ..registry import register_rule
 from ..runner import ModuleInfo
+from . import terminal_name
 
 #: Construction names that mint a generator.
 _RNG_SUFFIXES = frozenset({"default_rng", "RandomState"})

@@ -192,16 +192,14 @@ def analyze_module(module: ModuleInfo) -> list[Finding]:
 
 
 def run_project_rules(modules: list[ModuleInfo]) -> list[Finding]:
-    """Run every project-scoped (interprocedural) rule over the parsed
+    """Run every project-scoped (cross-module) rule over the parsed
     modules as one project, honoring inline suppressions."""
-    from .project import build_project
     from .registry import iter_project_rules
 
-    project = build_project(modules)
     by_path = {m.relpath: m for m in modules}
     out: list[Finding] = []
     for rule in iter_project_rules():
-        for finding in rule.check(project):
+        for finding in rule.check(modules):
             owner = by_path.get(finding.path)
             if owner is None or not owner.suppressed(finding):
                 out.append(finding)
@@ -234,8 +232,8 @@ def analyze_source(source: str, relpath: str) -> list[Finding]:
 
     The fixture entry point for tests: the path decides which rules and
     scopes apply (``src/repro/...`` vs ``benchmarks/...``).  The snippet
-    is its own single-module project, so the interprocedural rules run
-    against it too.
+    is its own single-module project, so the project rules run against
+    it too.
     """
     parsed = parse_module(source, relpath)
     if isinstance(parsed, Finding):

@@ -106,7 +106,7 @@ MUTANTS: tuple[Mutant, ...] = (
         "        self._last_chain = chain\n",
     ),
     Mutant(
-        "attach-append-after-segments", "late-handoff", (), SERVE + "storage.py",
+        "attach-append-after-segments", "late-handoff", ("LIF001",), SERVE + "storage.py",
         "            self.pages.append(pinned)\n"
         "            for layer in range(self.backend.num_layers):\n"
         "                k_seg, v_seg = pinned.payload[layer]\n"
@@ -125,6 +125,13 @@ MUTANTS: tuple[Mutant, ...] = (
         "            from .pool import BudgetExceededError\n\n"
         '            raise BudgetExceededError("promotion overran the budget")\n'
         "{old}",
+    ),
+    Mutant(
+        # Not a fault: a pure assignment between acquire and hand-off cannot
+        # leave the block -- LIF001 must stay silent.
+        "pageify-assign-before-handoff", "benign", (), SERVE + "storage.py",
+        "        self.pages.append(page)\n        self._last_chain = chain\n",
+        "        self._last_chain = chain\n        self.pages.append(page)\n",
     ),
     # -- _bump discipline ------------------------------------------------
     Mutant(
