@@ -5,7 +5,9 @@ The harness runs every workload in a child process, so ``cProfile`` on
 the named workload's own set-up and pass from ``benchmarks/harness`` at
 smoke size, profiles the passes of one round and writes the top 20
 functions by self time to ``results/<workload>_profile.txt`` (CI uploads
-``kv_stream``, ``pool_churn`` and ``serve_fp16`` with the bench reports).
+``kv_stream``, ``pool_churn``, ``serve_fp16`` and ``serve_cold`` — the
+step-batched codec path, where the next decision about the codec's
+per-call floor starts — with the bench reports).
 """
 
 import argparse

@@ -15,6 +15,8 @@ from .kv import (
     KVCacheCodec,
     KVCacheStream,
     merge_token_segments,
+    read_streams,
+    slice_token_segment,
     split_token_segment,
 )
 from .patterns import (
@@ -44,12 +46,14 @@ __all__ = [
     "compress_weight",
     "fit_tensor_meta",
     "merge_token_segments",
-    "split_token_segment",
     "normalize_groups",
     "plan_encoding",
+    "read_streams",
     "select_patterns_minmax",
     "select_patterns_mse",
     "simulate_roundtrip",
+    "slice_token_segment",
+    "split_token_segment",
     "tensor_exponent",
     "to_groups",
 ]

@@ -240,11 +240,12 @@ def plan_encoding(
     # the values with the largest (activation-weighted) residuals of the
     # normalized-domain reconstruction from the final symbols.
     recon_norm = meta.patterns[pattern_ids[:, None], safe_syms]
-    resid = np.where(
-        coded_mask,
-        norm.normalized - recon_norm.astype(np.float32, copy=False),
-        0.0,
-    )
+    resid = norm.normalized - recon_norm.astype(np.float32, copy=False)
+    # A non-finite residual (a NaN/inf input value) has no correction to
+    # store: left in, it would claim an outlier slot whose 8-bit field
+    # packs to 0, a slot unpack -> re-pack cannot reproduce.  Zeroed, not
+    # rejected — one request's bad row must not fail a whole step's batch.
+    resid = np.where(coded_mask & np.isfinite(resid), resid, 0.0)
     q = np.minimum(
         np.maximum(np.rint(resid * config.correction_scale), -127), 127
     ).astype(np.int64)

@@ -13,9 +13,18 @@ the filled prefix — no walk over the segment list and no copy of the
 rows decoded earlier, so its cost does not grow with the context.
 ``invalidate_decoded`` is the hook eviction and segment-rewriting passes
 use to roll the cursor back.
+
+The codec's cost is mostly per call, not per group, so callers batch:
+``encode_tokens`` over many tokens (of many streams) is cut back into
+per-stream segments by :func:`slice_token_segment`, and
+:func:`read_streams` decodes the pending segments of many streams with
+one ``decode_all``.  Both are bit-exact against the one-stream calls
+because every group is planned, packed and unpacked on its own.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -26,6 +35,8 @@ __all__ = [
     "KVCacheCodec",
     "KVCacheStream",
     "merge_token_segments",
+    "read_streams",
+    "slice_token_segment",
     "split_token_segment",
 ]
 
@@ -69,30 +80,39 @@ def merge_token_segments(segments: list[CompressedTensor]) -> CompressedTensor:
     )
 
 
-def split_token_segment(
-    segment: CompressedTensor, num_head_tokens: int
-) -> tuple[CompressedTensor, CompressedTensor]:
-    """Cut a token segment at a token boundary into two, bit for bit.
+def slice_token_segment(
+    segment: CompressedTensor, token_counts: Sequence[int]
+) -> list[CompressedTensor]:
+    """Cut a token segment at token boundaries into consecutive parts of
+    ``token_counts`` tokens each, bit for bit.
 
     The inverse of :func:`merge_token_segments`: per-token group padding
     makes a segment's block stack the exact concatenation of its tokens'
-    blocks, so splitting is pure bookkeeping — slice the block rows at
-    the token boundary and both halves decode to exactly the rows the
+    blocks, so slicing is pure bookkeeping — slice the block rows at the
+    token boundaries and every part decodes to exactly the rows the
     whole segment would have produced (and, because every group is
-    encoded independently, to exactly the blocks a fresh encode of each
-    half would emit).  This is what lets a prefix-cache page be split at
-    a divergence point without re-encoding either side.
+    encoded independently, to exactly the blocks a fresh encode of that
+    part's rows would emit).  This is what lets one ``encode_tokens``
+    call cover a whole engine step or a whole prompt and still hand every
+    request, page and tail the bytes a call of its own would have made.
 
-    The block slices are copied so evicting one half actually frees its
-    bytes instead of pinning the parent's whole block stack.
+    The block slices are copied so evicting one part actually frees its
+    bytes instead of pinning the parent's whole block stack (a single
+    part *is* the segment and is returned as it stands).  A part's
+    ``clipping_ratio``/``padding_ratio`` are the parent's: the per-group
+    ratios are stats, not decode state, and the encode call's averages
+    are the best per-part estimate available without re-planning.
+    Nothing in ``repro.serve``, the tests, the baselines or the harness
+    reads them off a sliced part.
     """
     if segment.token_shape is None:
         raise ValueError("not a token segment (token_shape unset)")
     num_tokens, dim = segment.token_shape
-    if not 0 < num_head_tokens < num_tokens:
+    counts = [int(count) for count in token_counts]
+    if min(counts, default=0) < 1 or sum(counts) != num_tokens:
         raise ValueError(
-            f"split point {num_head_tokens} must lie strictly inside "
-            f"the segment's {num_tokens} tokens"
+            f"parts of {counts} tokens do not tile the segment's "
+            f"{num_tokens} tokens"
         )
     padded_dim = segment.shape[1]
     groups = segment.blocks.shape[0]
@@ -101,24 +121,38 @@ def split_token_segment(
             f"{groups} block groups do not divide evenly over "
             f"{num_tokens} tokens; not a per-token-padded segment"
         )
+    if len(counts) == 1:
+        return [segment]
     groups_per_token = groups // num_tokens
-    cut = num_head_tokens * groups_per_token
-
-    def part(blocks: np.ndarray, tokens: int) -> CompressedTensor:
-        return CompressedTensor(
-            blocks=blocks.copy(),
-            shape=(tokens, padded_dim),
-            pad=0,
-            # The per-group ratios are stats, not decode state; the
-            # parent's averages are the best per-half estimate available
-            # without re-planning.
-            clipping_ratio=segment.clipping_ratio,
-            padding_ratio=segment.padding_ratio,
-            token_shape=(tokens, dim),
+    parts = []
+    start = 0
+    for tokens in counts:
+        end = start + tokens * groups_per_token
+        parts.append(
+            CompressedTensor(
+                blocks=segment.blocks[start:end].copy(),
+                shape=(tokens, padded_dim),
+                pad=0,
+                clipping_ratio=segment.clipping_ratio,
+                padding_ratio=segment.padding_ratio,
+                token_shape=(tokens, dim),
+            )
         )
+        start = end
+    return parts
 
-    head = part(segment.blocks[:cut], num_head_tokens)
-    tail = part(segment.blocks[cut:], num_tokens - num_head_tokens)
+
+def split_token_segment(
+    segment: CompressedTensor, num_head_tokens: int
+) -> tuple[CompressedTensor, CompressedTensor]:
+    """Cut a token segment in two at a token boundary, bit for bit: the
+    two-part case of :func:`slice_token_segment` (which rejects a split
+    point outside the segment).  This is what lets a prefix-cache page be
+    split at a divergence point without re-encoding either side."""
+    if segment.token_shape is None:
+        raise ValueError("not a token segment (token_shape unset)")
+    tail_tokens = segment.token_shape[0] - num_head_tokens
+    head, tail = slice_token_segment(segment, (num_head_tokens, tail_tokens))
     return head, tail
 
 
@@ -215,7 +249,10 @@ class KVCacheStream:
     O(fresh segments) whatever the context length.  The ``decoded_tokens``
     counters expose exactly how much decode work was done, and
     ``invalidate_decoded`` rolls the read cursor back (the hook eviction
-    or segment-rewriting passes must call).
+    or segment-rewriting passes must call).  Rows only ever enter the
+    decoded buffer out of a block decode — a read's, or one the caller
+    already ran and hands over with ``prime_decoded`` — never from the
+    encoder's own reconstruction.
     """
 
     def __init__(self, key_codec: KVCacheCodec, value_codec: KVCacheCodec):
@@ -323,33 +360,53 @@ class KVCacheStream:
             return 1.0
         return self.original_nbytes / self.compressed_nbytes
 
-    def _refresh(self, side: str, codec: KVCacheCodec) -> np.ndarray:
-        """Decode the segments past the cursor; return the decoded prefix."""
-        segments = self._segments[side]
-        done = self._cached_segments[side]
+    def _codec(self, side: str) -> KVCacheCodec:
+        return self.key_codec if side == "keys" else self.value_codec
+
+    def _store_decoded(self, side: str, rows: np.ndarray) -> None:
+        """Write block-decoded ``rows`` behind the cursor and move the
+        cursor to the end of the stream — the only write into the decoded
+        buffer, so ``decoded_tokens`` counts every token that enters it."""
         cached = self._cached_tokens[side]
+        total = cached + rows.shape[0]
         buffer = self._buffer[side]
-        if done < len(segments):
-            decoded = codec.decode_all(segments[done:])
-            total = cached + decoded.shape[0]
-            if buffer is None or total > buffer.shape[0]:
-                # Geometric growth keeps appends amortized O(1).  Half again
-                # (not double) halves the idle slack: decoded float32 rows
-                # are the largest thing a finished stream keeps alive.
-                capacity = max(total, cached + max(cached // 2, 16))
-                grown = np.empty((capacity, decoded.shape[1]), dtype=np.float32)
-                if cached:
-                    grown[:cached] = buffer[:cached]
-                buffer = self._buffer[side] = grown
-            buffer[cached:total] = decoded
-            self.decoded_tokens[side] += decoded.shape[0]
-            self._cached_segments[side] = len(segments)
-            self._cached_tokens[side] = cached = total
+        if buffer is None or total > buffer.shape[0]:
+            # Geometric growth keeps appends amortized O(1).  Half again
+            # (not double) halves the idle slack: decoded float32 rows
+            # are the largest thing a finished stream keeps alive.
+            capacity = max(total, cached + max(cached // 2, 16))
+            grown = np.empty((capacity, rows.shape[1]), dtype=np.float32)
+            if cached:
+                grown[:cached] = buffer[:cached]
+            buffer = self._buffer[side] = grown
+        buffer[cached:total] = rows
+        self.decoded_tokens[side] += rows.shape[0]
+        self._cached_segments[side] = len(self._segments[side])
+        self._cached_tokens[side] = total
+
+    def _decoded_view(self, side: str) -> np.ndarray:
+        buffer = self._buffer[side]
         if buffer is None:
             return np.zeros((0, 0), dtype=np.float32)
-        view = buffer[:cached]
+        view = buffer[: self._cached_tokens[side]]
         view.flags.writeable = False
         return view
+
+    def prime_decoded(self, side: str, rows: np.ndarray) -> None:
+        """Adopt ``rows`` a caller already block-decoded from this side's
+        segments past the cursor, so the next read does not decode them a
+        second time (the prefill roundtrip hands its rows over this way).
+
+        ``rows`` must be the ``decode_all`` of exactly those segments; the
+        work was done, so it is counted in ``decoded_tokens`` like a read.
+        """
+        pending = self._num_tokens - self._cached_tokens[side]
+        if rows.ndim != 2 or rows.shape[0] != pending:
+            raise ValueError(
+                f"{side}: got decoded rows of shape {rows.shape} for "
+                f"{pending} tokens past the read cursor"
+            )
+        self._store_decoded(side, rows)
 
     def _truncate_cache(self, side: str, token_limit: int) -> None:
         """Roll one side's cursor back to the last segment boundary at or
@@ -373,11 +430,11 @@ class KVCacheStream:
         read-only view of that buffer, not a copy, and later appends,
         invalidations and rewrites never change it.
         """
-        return self._refresh("keys", self.key_codec)
+        return read_streams([self], "keys")[0]
 
     def read_values(self) -> np.ndarray:
         """The decoded (num_tokens, dim) value cache attention reads."""
-        return self._refresh("values", self.value_codec)
+        return read_streams([self], "values")[0]
 
     def invalidate_decoded(self, from_token: int | None = None) -> None:
         """Drop cached decoded state from ``from_token`` onward.
@@ -425,3 +482,34 @@ class KVCacheStream:
             else:
                 self._truncate_cache(side, from_token)
         return merged_k, merged_v
+
+
+def read_streams(
+    streams: Sequence[KVCacheStream], side: str
+) -> list[np.ndarray]:
+    """Each stream's decoded ``(num_tokens, dim)`` cache of one side, from
+    a single block decode.
+
+    Gathers every stream's segments past its read cursor into one
+    :meth:`KVCacheCodec.decode_all`, so the codec's per-call cost is paid
+    once per batch instead of once per stream, and scatters the rows back
+    behind each stream's cursor.  Every group decodes independently, so
+    the rows are exactly those a read of each stream alone produces;
+    :meth:`KVCacheStream.read_keys` is the one-stream case.  The streams
+    must share one codec (a serving backend's requests do, per layer).
+    """
+    codec = streams[0]._codec(side)
+    fresh: list[CompressedTensor] = []
+    for stream in streams:
+        if stream._codec(side) is not codec:
+            raise ValueError("streams read together must share one codec")
+        fresh += stream._segments[side][stream._cached_segments[side]:]
+    if fresh:
+        rows = codec.decode_all(fresh)
+        start = 0
+        for stream in streams:
+            end = start + len(stream) - stream._cached_tokens[side]
+            if end > start:
+                stream._store_decoded(side, rows[start:end])
+            start = end
+    return [stream._decoded_view(side) for stream in streams]

@@ -35,6 +35,11 @@ class BatchKV(Protocol):
     its ``kv_quant`` hook); ``read`` returns each request's full decoded
     history *including* the row just appended, as ``(T_r, n_heads *
     head_dim)`` arrays.  Histories may differ in length across requests.
+
+    Both take the whole batch in one call, once per layer per step, so an
+    implementation over a codec whose cost is per call can compress the R
+    new rows — and decompress what the R requests have not decoded yet —
+    with one codec call per side instead of R (``repro.serve`` does).
     """
 
     def append(

@@ -37,19 +37,38 @@ __all__ = ["ServingEngine"]
 
 
 class _PoolBatchKV:
-    """Adapter: the running batch's RequestKVs behind the BatchKV protocol."""
+    """Adapter: the running batch's RequestKVs behind the BatchKV protocol.
+
+    The codec is called per step, not per request: ``append`` encodes the
+    step's R new rows with one ``backend.encode_rows`` per side and hands
+    each request its one-token slice; ``read`` decodes every request's
+    not-yet-decoded segments with one ``backend.read_batch`` per side.
+    """
 
     def __init__(self, requests: list[Request]):
-        self.requests = requests
+        self.kvs = [request.kv for request in requests]
+        #: One backend serves every request of an engine, codecs included.
+        self.backend = self.kvs[0].backend
 
     def append(self, layer: int, keys: np.ndarray, values: np.ndarray) -> None:
-        for r, request in enumerate(self.requests):
-            request.kv.append_token_layer(layer, keys[r], values[r])
+        backend = self.backend
+        ones = (1,) * len(self.kvs)
+        k_parts = backend.slice_segment(
+            backend.encode_rows(layer, "keys", keys), ones
+        )
+        v_parts = backend.slice_segment(
+            backend.encode_rows(layer, "values", values), ones
+        )
+        for r, kv in enumerate(self.kvs):
+            kv.append_token_layer(
+                layer, keys[r], values[r], k_parts[r], v_parts[r]
+            )
 
     def read(self, layer: int):
-        keys = [request.kv.read(layer, "keys") for request in self.requests]
-        values = [request.kv.read(layer, "values") for request in self.requests]
-        return keys, values
+        return (
+            self.backend.read_batch(self.kvs, layer, "keys"),
+            self.backend.read_batch(self.kvs, layer, "values"),
+        )
 
 
 class _ChunkIngestKV:

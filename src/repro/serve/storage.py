@@ -6,6 +6,16 @@ layer per request, so reads reuse the PR-2 decoded-segment cache and a
 preempted request re-admits without re-decoding history), and
 :class:`Fp16KVBackend` stores raw fp16 — the capacity baseline.
 
+What a "segment" is belongs to the backend: ``encode_rows`` turns a
+batch of rows into one, ``slice_segment`` cuts it at token boundaries,
+``read_batch`` decodes many requests' segments together.  The codec is
+therefore called once per (layer, side) per *call site* — per engine
+decode step over the R running requests, per whole prompt, per prefill
+chunk — never once per request or per page: the rows are encoded in one
+batch and each request, page and tail is handed its slice.  The codec
+plans every token's groups on their own (per-token group padding), so a
+slice holds exactly the bytes a call over its rows alone would emit.
+
 A request's KV lives in two tiers: *pages* (full ``page_tokens`` units,
 pool-accounted, prefix-shared, swap units) and a *private tail* (the
 most recent tokens, appended one per decode step).  When the tail fills
@@ -23,6 +33,8 @@ from repro.core import (
     KV_CONFIG,
     KVCacheCodec,
     KVCacheStream,
+    read_streams,
+    slice_token_segment,
     split_token_segment,
 )
 from repro.llm.quantize import fit_kv_codec
@@ -174,11 +186,10 @@ class RequestKV:
     def prefill_hook(self):
         """The ``kv_quant`` callable a prefill forward pass runs through.
 
-        For every layer's K then V it chunks the prompt KV into pages
-        (reusing a shared resident page's payload instead of re-encoding
-        when the prefix chain hits) plus a tail segment, and returns the
-        storage roundtrip — so prefill logits see exactly the KV later
-        decode steps will read.
+        For every layer's K then V it stores the prompt KV as page
+        segments plus a tail segment (:meth:`_encode_pages`) and returns
+        the storage roundtrip — so prefill logits see exactly the KV
+        later decode steps will read.
         """
         def hook(name: str, kv: np.ndarray) -> np.ndarray:
             layer, side = _parse_hook_name(name)
@@ -189,6 +200,45 @@ class RequestKV:
             self._pending[(layer, side)] = segments
             return decoded
         return hook
+
+    def _encode_pages(
+        self, layer: int, side: str, rows: np.ndarray, start: int
+    ) -> list:
+        """Storage segments for prompt tokens ``[start, start + len(rows))``
+        of one layer side: one per full page plus one for a sub-page tail
+        (``start`` sits on a page boundary; only the prompt's end may not).
+
+        A page already resident under the prompt's hash chain lends its
+        payload instead of being re-encoded.  Every other row goes
+        through *one* ``backend.encode_rows`` call, sliced at the page
+        boundaries afterwards — the codec plans each token's groups on
+        their own, so the slices are the bytes page-by-page calls made.
+        """
+        P = self.page_tokens
+        pair_index = 0 if side == "keys" else 1
+        end = start + rows.shape[0]
+        hits = [
+            self.pool.peek(chain)
+            for chain in self._page_chains[start // P : end // P]
+        ]
+        counts = [P] * len(hits)
+        if end % P:
+            hits.append(None)
+            counts.append(end % P)
+        missed = [hit is None for hit in hits]
+        encoded: list = []
+        if any(missed):
+            encoded = self.backend.slice_segment(
+                self.backend.encode_rows(
+                    layer, side, rows[np.repeat(missed, counts)]
+                ),
+                [n for n, miss in zip(counts, missed) if miss],
+            )
+        fresh = iter(encoded)
+        return [
+            next(fresh) if hit is None else hit.payload[layer][pair_index]
+            for hit in hits
+        ]
 
     def _acquire_prompt_page(self, j: int, payload_for) -> None:
         """Acquire prompt page ``j`` — shared on a chain hit, otherwise
@@ -382,17 +432,15 @@ class RequestKV:
     ) -> None:
         """Store one layer's K/V rows for the open chunk.
 
-        Splits the chunk into page segments (reusing a shared resident
-        page's payload instead of re-encoding on a prefix-chain hit)
-        plus a tail segment when the chunk reaches the prompt end, and
-        appends them to the layer state so attention over this request
-        immediately reads them back — pool accounting happens at
-        :meth:`commit_chunk`.
+        Stores the chunk as page segments plus a tail segment when it
+        reaches the prompt end (:meth:`_encode_pages`; a warm suffix is
+        one tail segment per side), and appends them to the layer state
+        so attention over this request immediately reads them back —
+        pool accounting happens at :meth:`commit_chunk`.
         """
         if self._chunk_bounds is None:
             raise RuntimeError("no open chunk; call begin_chunk first")
-        start, end = self._chunk_bounds
-        P = self.page_tokens
+        start, _end = self._chunk_bounds
         k_chunk = np.asarray(k_chunk, dtype=np.float32)
         v_chunk = np.asarray(v_chunk, dtype=np.float32)
         if self.raw_prompt is not None:
@@ -405,31 +453,11 @@ class RequestKV:
                 )
         if self._warm:
             # Warm suffix: one segment per side, appended as tail state.
-            k_seg = self._encode_segment(layer, "keys", k_chunk)
-            v_seg = self._encode_segment(layer, "values", v_chunk)
-            self._append_segment(layer, k_seg, v_seg)
-            self._chunk_segments[layer] = ([k_seg], [v_seg])
-            return
-        k_segments: list = []
-        v_segments: list = []
-        for j in range(start // P, end // P):
-            lo, hi = j * P - start, (j + 1) * P - start
-            shared = self.pool.peek(self._page_chains[j])
-            if shared is not None:
-                k_seg, v_seg = shared.payload[layer]
-            else:
-                k_seg = self._encode_segment(layer, "keys", k_chunk[lo:hi])
-                v_seg = self._encode_segment(layer, "values", v_chunk[lo:hi])
-            k_segments.append(k_seg)
-            v_segments.append(v_seg)
-        tail = end - (end // P) * P
-        if tail:
-            k_segments.append(
-                self._encode_segment(layer, "keys", k_chunk[-tail:])
-            )
-            v_segments.append(
-                self._encode_segment(layer, "values", v_chunk[-tail:])
-            )
+            k_segments = [self.backend.encode_rows(layer, "keys", k_chunk)]
+            v_segments = [self.backend.encode_rows(layer, "values", v_chunk)]
+        else:
+            k_segments = self._encode_pages(layer, "keys", k_chunk, start)
+            v_segments = self._encode_pages(layer, "values", v_chunk, start)
         for k_seg, v_seg in zip(k_segments, v_segments):
             self._append_segment(layer, k_seg, v_seg)
         self._chunk_segments[layer] = (k_segments, v_segments)
@@ -490,9 +518,11 @@ class RequestKV:
     # Decode appends.
     # ------------------------------------------------------------------
     def append_token_layer(
-        self, layer: int, k_row: np.ndarray, v_row: np.ndarray
+        self, layer: int, k_row: np.ndarray, v_row: np.ndarray, k_seg, v_seg
     ) -> None:
-        """Append one decode token's K/V rows for one layer."""
+        """Append one decode token's K/V for one layer: the raw rows (for
+        the audit record) and the one-token segments they encoded to —
+        this request's slice of the step's ``backend.encode_rows``."""
         if self.raw_decode is not None:
             self.raw_decode[layer]["keys"].append(
                 np.asarray(k_row, dtype=np.float32).copy()
@@ -500,7 +530,10 @@ class RequestKV:
             self.raw_decode[layer]["values"].append(
                 np.asarray(v_row, dtype=np.float32).copy()
             )
-        delta_nbytes, delta_fp16 = self._append_layer(layer, k_row, v_row)
+        self._append_segment(layer, k_seg, v_seg)
+        segment_nbytes = self.backend.segment_nbytes
+        delta_nbytes = segment_nbytes(k_seg) + segment_nbytes(v_seg)
+        delta_fp16 = (k_row.size + v_row.size) * 2
         self._unpaged_nbytes += delta_nbytes
         self._unpaged_fp16_nbytes += delta_fp16
         self.pool.reserve_private(delta_nbytes, delta_fp16)
@@ -599,19 +632,12 @@ class RequestKV:
         """Create empty per-layer state for chunk-by-chunk ingestion."""
         raise NotImplementedError
 
-    def _encode_segment(self, layer, side, rows):
-        """Encode a (tokens, dim) slice into one storage segment."""
-        raise NotImplementedError
-
     def _append_segment(self, layer, k_seg, v_seg):
         """Append one encoded K/V segment pair to the layer state."""
         raise NotImplementedError
 
     def _note_pages_committed(self, num_pages):
         """Chunked-commit bookkeeping hook (fp16 tracks paged chunks)."""
-
-    def _append_layer(self, layer, k_row, v_row):
-        raise NotImplementedError
 
     def _collect_page_payload(self, start):
         raise NotImplementedError
@@ -631,27 +657,15 @@ class EccoRequestKV(RequestKV):
     def __init__(self, backend, pool, prompt_ids, record_raw=False):
         super().__init__(backend, pool, prompt_ids, record_raw)
         self.streams: list[KVCacheStream] | None = None
-
-    def _codec(self, layer: int, side: str) -> KVCacheCodec:
-        key_codec, value_codec = self.backend.codecs[layer]
-        return key_codec if side == "keys" else value_codec
+        self._prompt_decoded: dict = {}
 
     def _encode_prompt_side(self, layer, side, kv):
-        P = self.page_tokens
-        codec = self._codec(layer, side)
-        pair_index = 0 if side == "keys" else 1
-        segments = []
-        for j, chain in enumerate(self._page_chains):
-            chunk = kv[j * P : (j + 1) * P]
-            shared = self.pool.peek(chain)
-            if shared is not None:
-                segments.append(shared.payload[layer][pair_index])
-            else:
-                segments.append(codec.encode_tokens(chunk))
-        tail = kv[self._num_prompt_pages * P :]
-        if tail.shape[0]:
-            segments.append(codec.encode_tokens(tail))
-        return segments, codec.decode_all(segments)
+        segments = self._encode_pages(layer, side, kv, 0)
+        # Kept for ``_init_layer_state``: these rows came out of the
+        # blocks, so the stream adopts them instead of decoding again.
+        decoded = self.backend.codec(layer, side).decode_all(segments)
+        self._prompt_decoded[(layer, side)] = decoded
+        return segments, decoded
 
     def _init_layer_state(self):
         self._init_layer_state_empty()
@@ -660,6 +674,10 @@ class EccoRequestKV(RequestKV):
             values = self._pending[(layer, "values")]
             for k_seg, v_seg in zip(keys, values):
                 stream.append_compressed(k_seg, v_seg)
+            for side in ("keys", "values"):
+                stream.prime_decoded(
+                    side, self._prompt_decoded.pop((layer, side))
+                )
 
     def _init_layer_state_empty(self):
         self.streams = [
@@ -667,19 +685,8 @@ class EccoRequestKV(RequestKV):
             for key_codec, value_codec in self.backend.codecs
         ]
 
-    def _encode_segment(self, layer, side, rows):
-        return self._codec(layer, side).encode_tokens(rows)
-
     def _append_segment(self, layer, k_seg, v_seg):
         self.streams[layer].append_compressed(k_seg, v_seg)
-
-    def _append_layer(self, layer, k_row, v_row):
-        stream = self.streams[layer]
-        before = stream.compressed_nbytes
-        stream.append(k_row, v_row)
-        delta = stream.compressed_nbytes - before
-        fp16 = (np.asarray(k_row).size + np.asarray(v_row).size) * 2
-        return delta, fp16
 
     def _collect_page_payload(self, start):
         return {
@@ -713,18 +720,7 @@ class Fp16RequestKV(RequestKV):
         self._read_cache: list[dict] | None = None
 
     def _encode_prompt_side(self, layer, side, kv):
-        P = self.page_tokens
-        pair_index = 0 if side == "keys" else 1
-        segments = []
-        for j, chain in enumerate(self._page_chains):
-            shared = self.pool.peek(chain)
-            if shared is not None:
-                segments.append(shared.payload[layer][pair_index])
-            else:
-                segments.append(kv[j * P : (j + 1) * P].astype(np.float16))
-        tail = kv[self._num_prompt_pages * P :]
-        if tail.shape[0]:
-            segments.append(tail.astype(np.float16))
+        segments = self._encode_pages(layer, side, kv, 0)
         decoded = np.concatenate(segments, axis=0).astype(np.float32)
         return segments, decoded
 
@@ -754,23 +750,12 @@ class Fp16RequestKV(RequestKV):
             for _ in range(self.backend.num_layers)
         ]
 
-    def _encode_segment(self, layer, side, rows):
-        return np.asarray(rows).astype(np.float16)
-
     def _append_segment(self, layer, k_seg, v_seg):
         self._chunks[layer]["keys"].append(k_seg)
         self._chunks[layer]["values"].append(v_seg)
 
     def _note_pages_committed(self, num_pages):
         self._paged_chunk_count += num_pages
-
-    def _append_layer(self, layer, k_row, v_row):
-        k16 = np.asarray(k_row, dtype=np.float16).reshape(1, -1)
-        v16 = np.asarray(v_row, dtype=np.float16).reshape(1, -1)
-        self._chunks[layer]["keys"].append(k16)
-        self._chunks[layer]["values"].append(v16)
-        nbytes = k16.nbytes + v16.nbytes
-        return nbytes, nbytes
 
     def _collect_page_payload(self, start):
         n = self._paged_chunk_count
@@ -858,14 +843,34 @@ class EccoKVBackend:
     def segment_tokens(segment) -> int:
         return int(segment.token_shape[0])
 
+    def codec(self, layer: int, side: str) -> KVCacheCodec:
+        return self.codecs[layer][0 if side == "keys" else 1]
+
+    def encode_rows(self, layer: int, side: str, rows: np.ndarray):
+        """One segment for a ``(tokens, dim)`` batch of one layer side's
+        rows — one codec call however many requests or pages they span."""
+        return self.codec(layer, side).encode_tokens(rows)
+
+    @staticmethod
+    def slice_segment(segment, token_counts) -> list:
+        """Cut a segment into consecutive parts of ``token_counts``
+        tokens — pure block-row slices, each bit-exact vs a fresh encode
+        of its own rows."""
+        return slice_token_segment(segment, token_counts)
+
     @staticmethod
     def split_segment(segment, head_tokens: int):
-        """Split one compressed segment at a token boundary — a pure
-        block-row slice, bit-exact vs fresh encodes of both halves."""
+        """The two-part slice at a token boundary (a prefix-page split)."""
         return split_token_segment(segment, head_tokens)
 
     def split_page_payload(self, payload: dict, head_tokens: int):
         return _split_page_payload(self, payload, head_tokens)
+
+    @staticmethod
+    def read_batch(kvs: list, layer: int, side: str) -> list[np.ndarray]:
+        """Every request's decoded history of one layer side, from one
+        block decode over all their not-yet-decoded segments."""
+        return read_streams([kv.streams[layer] for kv in kvs], side)
 
     def create_request(self, pool, prompt_ids, record_raw=False):
         return EccoRequestKV(self, pool, prompt_ids, record_raw)
@@ -898,16 +903,28 @@ class Fp16KVBackend:
         return int(np.asarray(segment).shape[0])
 
     @staticmethod
-    def split_segment(segment, head_tokens: int):
-        seg = np.asarray(segment)
-        # Copies, not views: evicting one half must free its bytes.
-        return (
-            np.ascontiguousarray(seg[:head_tokens]),
-            np.ascontiguousarray(seg[head_tokens:]),
-        )
+    def encode_rows(layer: int, side: str, rows: np.ndarray) -> np.ndarray:
+        return np.asarray(rows).astype(np.float16)
+
+    @staticmethod
+    def slice_segment(segment, token_counts) -> list:
+        # Copies, not views: evicting one part must free its bytes.
+        parts, start = [], 0
+        for tokens in token_counts:
+            parts.append(segment[start : start + tokens].copy())
+            start += tokens
+        return parts
+
+    def split_segment(self, segment, head_tokens: int):
+        tail_tokens = self.segment_tokens(segment) - head_tokens
+        return tuple(self.slice_segment(segment, (head_tokens, tail_tokens)))
 
     def split_page_payload(self, payload: dict, head_tokens: int):
         return _split_page_payload(self, payload, head_tokens)
+
+    @staticmethod
+    def read_batch(kvs: list, layer: int, side: str) -> list[np.ndarray]:
+        return [kv.read(layer, side) for kv in kvs]
 
     def create_request(self, pool, prompt_ids, record_raw=False):
         return Fp16RequestKV(self, pool, prompt_ids, record_raw)

@@ -293,6 +293,20 @@ MUTANTS: tuple[Mutant, ...] = (
         "generated-hash-order-sum", "unordered-sum", ("NUM001",), SERVE + "metrics.py",
         "len(r.generated) for r in requests)", "len(r.generated) for r in set(requests))",
     ),
+    # -- step-batched codec calls (no rule claims these) ------------------
+    Mutant(
+        # Hand request r the segment pair of request R-1-r.
+        "step-scatter-misroute", "misroute-slice", (), SERVE + "engine.py",
+        "k_parts[r], v_parts[r]", "k_parts[-1 - r], v_parts[-1 - r]",
+    ),
+    Mutant(
+        # Prime the decoded buffer without counting the decode work.
+        "prime-skip-counter", "skip-counter", (), CORE + "kv.py",
+        "        self._store_decoded(side, rows)\n\n    def _truncate_cache",
+        "        self._store_decoded(side, rows)\n"
+        "        self.decoded_tokens[side] -= rows.shape[0]\n\n"
+        "    def _truncate_cache",
+    ),
     # -- decoded-cache coherence (no rule claims these) ------------------
     Mutant(
         "coalesce-skip-truncate-cache", "skip-truncate-cache", (), CORE + "kv.py",

@@ -203,7 +203,8 @@ def _hostile_meta(kind, config, rng):
 def test_hostile_rows_fit_their_blocks_or_raise(preset, kind, group_size):
     """Zeros, constants, denormals, fp16-max, Cauchy and NaN/inf rows through
     every preset: blocks are 64 bytes, pack -> unpack -> re-pack is bit-exact
-    (for finite rows) and decode equals the fast path.  The force-shortest-codes fallback either
+    (non-finite rows included: their residuals take no outlier slot) and
+    decode equals the fast path.  The force-shortest-codes fallback either
     fits the group or raises its ValueError — it never overflows the writer;
     only a meta whose every codebook is flat (ACT's single one) may raise."""
     config = preset.replace(group_size=group_size)
@@ -227,17 +228,36 @@ def test_hostile_rows_fit_their_blocks_or_raise(preset, kind, group_size):
                 compressed.blocks, compressed.shape, compressed.pad
             )
             repacked = codec.encode_plan(plan)
-            if np.isfinite(tensor).all():
-                assert np.array_equal(repacked.blocks, compressed.blocks), name
-            else:
-                # A NaN residual claims an outlier slot whose 8-bit correction
-                # packs to 0, which the dense unpacked form cannot express: the
-                # re-pack drops the slot (ROADMAP item 5) but decodes the same.
-                assert np.array_equal(
-                    codec.decode(repacked), codec.decode(compressed), equal_nan=True
-                ), name
+            assert np.array_equal(repacked.blocks, compressed.blocks), name
             assert np.array_equal(
                 codec.decode(compressed),
                 simulate_roundtrip(meta, tensor).values,
                 equal_nan=True,
             ), name
+
+
+@pytest.mark.parametrize("dim", [128, 200])
+def test_hostile_row_in_a_batch_leaves_its_neighbours_bytes_alone(dim):
+    """A serving step encodes every running request's new row in one
+    ``encode_tokens`` call: a NaN/inf, denormal or fp16-max row from one
+    request must leave each neighbour's blocks byte-identical to encoding
+    that neighbour alone (groups are planned independently), and the bad
+    row's own blocks must be what a call of its own emits."""
+    rng = np.random.default_rng(dim)
+    scales = np.exp(rng.normal(0.0, 1.2, size=dim))
+    codec = KVCacheCodec(
+        calibrate_kv_meta(rng.standard_normal((256, dim)) * scales * 0.3)
+    )
+    neighbours = (rng.standard_normal((4, dim)) * scales * 0.3).astype(np.float32)
+    alone = [codec.encode_token(row).blocks for row in neighbours]
+    per_token = alone[0].shape[0]
+    hostile = _hostile_rows(rng, dim)
+    for name in ("nan-inf", "denormal", "fp16-max"):
+        bad = hostile[name].astype(np.float32)
+        with np.errstate(all="ignore"):
+            batch = codec.encode_tokens(
+                np.concatenate([neighbours[:2], bad[None], neighbours[2:]])
+            ).blocks.reshape(5, per_token, -1)
+            assert np.array_equal(batch[2], codec.encode_token(bad).blocks), name
+        for got, want in zip(np.delete(batch, 2, axis=0), alone):
+            assert np.array_equal(got, want), name

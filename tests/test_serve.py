@@ -16,6 +16,8 @@ from repro.core import (
     KVCacheStream,
     calibrate_kv_meta,
     merge_token_segments,
+    slice_token_segment,
+    split_token_segment,
 )
 from repro.llm import ProxyModel, calibrate, get_proxy_spec
 from repro.serve import PagedKVPool, RequestState, ServingEngine, chain_hash
@@ -243,6 +245,30 @@ def test_merge_token_segments_matches_batch_encode(kv_codec):
     assert np.array_equal(
         kv_codec.decode_tokens(merged), kv_codec.decode_tokens(whole)
     )
+
+
+def test_slice_token_segment_inverts_merge_and_rejects_bad_tilings(kv_codec):
+    """Slicing one batched encode at token boundaries yields the blocks
+    per-part encodes emit; split_token_segment is its two-part case."""
+    rng = np.random.default_rng(16)
+    tokens = rng.standard_normal((12, DIM)).astype(np.float32)
+    whole = kv_codec.encode_tokens(tokens)
+    bounds = [0, 5, 6, 12]
+    parts = slice_token_segment(whole, (5, 1, 6))
+    for part, lo, hi in zip(parts, bounds, bounds[1:]):
+        assert part.token_shape == (hi - lo, DIM)
+        assert np.array_equal(
+            part.blocks, kv_codec.encode_tokens(tokens[lo:hi]).blocks
+        )
+    head, tail = split_token_segment(whole, 5)
+    assert np.array_equal(head.blocks, parts[0].blocks)
+    assert np.array_equal(merge_token_segments(parts[1:]).blocks, tail.blocks)
+    for bad in ((5, 6), (12, 0), (5, 8), ()):
+        with pytest.raises(ValueError, match="do not tile"):
+            slice_token_segment(whole, bad)
+    for point in (0, 12, -1):
+        with pytest.raises(ValueError, match="do not tile"):
+            split_token_segment(whole, point)
 
 
 # ----------------------------------------------------------------------

@@ -262,8 +262,11 @@ def test_tail_promotion_is_byte_identical_to_fresh_encode(parts, backend_cls):
     kv.commit_prompt()
     for step in range(DECODE):
         for layer in range(num_layers):
+            k_row, v_row = raw[layer][0][T + step], raw[layer][1][T + step]
             kv.append_token_layer(
-                layer, raw[layer][0][T + step], raw[layer][1][T + step]
+                layer, k_row, v_row,
+                backend.encode_rows(layer, "keys", k_row[None]),
+                backend.encode_rows(layer, "values", v_row[None]),
             )
         kv.commit_token(90 + step)
 
