@@ -5,17 +5,26 @@ plain-text report (plus a JSON copy of the raw numbers) under ``results/`` so
 EXPERIMENTS.md can cite them.  Expensive experiment outputs are cached in
 ``results/cache`` keyed by a config tag; delete the directory to force a
 recompute.
+
+The seven smoke benches also gate themselves: right after writing its
+report each one hands the rows it may not regress to
+:func:`check_baseline`, which compares them with the committed snapshot
+``results/baseline/<name>.json``.  Refresh a snapshot by copying the
+report of a healthy run over it (``cp results/<name>.json
+results/baseline/``).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
     "results_dir",
     "write_report",
+    "check_baseline",
     "load_cached",
     "store_cached",
 ]
@@ -46,6 +55,61 @@ def write_report(name: str, lines: list[str], data: dict | None = None) -> Path:
     if data is not None:
         (results_dir() / f"{name}.json").write_text(json.dumps(data, indent=2))
     return path
+
+
+def _gated_number(doc, dotted: str) -> float:
+    """The number under the dotted key of a report."""
+    for part in dotted.split("."):
+        doc = doc[part]
+    if not isinstance(doc, (int, float)):
+        raise TypeError(f"{doc!r} is not a number")
+    return float(doc)
+
+
+def check_baseline(name: str, data: dict, gates: list[tuple]) -> None:
+    """Fail if a gated row of ``data`` regressed past its threshold.
+
+    ``gates`` rows are ``(dotted key, direction)`` or ``(dotted key,
+    direction, fail_at)``: ``"higher"`` means bigger is better (a drop
+    regresses), ``"lower"`` the opposite; ``fail_at`` is the fractional
+    regression against ``results/baseline/<name>.json`` that fails
+    (default 0.25 — tight, for virtual-clock latencies, counters and
+    reuse fractions, which are bit-stable; wall-clock rows pass a wide
+    one so they gate collapses, not scheduler jitter).  Improvements
+    never fail.  A zero baseline regresses by becoming nonzero in the
+    bad direction (``budget_overruns`` 0 -> 2 is unbounded).  A gated
+    key that is missing or not a number on either side, and a missing or
+    unreadable snapshot, fail too: a row must not stop gating silently.
+    Raises one ``AssertionError`` naming every failed row.
+    """
+    path = results_dir() / "baseline" / f"{name}.json"
+    try:
+        baseline = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise AssertionError(f"{name}: no readable baseline {path}: {exc}")
+    failed = []
+    for key, direction, *fail_at in gates:
+        sign = {"higher": -1.0, "lower": 1.0}[direction]
+        limit = fail_at[0] if fail_at else 0.25
+        try:
+            base, cur = _gated_number(baseline, key), _gated_number(data, key)
+        except (KeyError, TypeError) as exc:
+            failed.append(f"{key}: missing or not a number ({exc!r})")
+            continue
+        if base == 0:
+            regression = math.inf if sign * cur > 0 else 0.0
+        else:
+            regression = sign * (cur - base) / abs(base)
+        # ``not <`` so a NaN on either side fails instead of passing.
+        if not regression < limit:
+            failed.append(
+                f"{key}: {base:g} -> {cur:g} "
+                f"({regression:+.1%} regression, limit {limit:.0%})"
+            )
+    if failed:
+        raise AssertionError(
+            f"{name} regressed against {path}:\n  " + "\n  ".join(failed)
+        )
 
 
 def load_cached(tag: str) -> dict | None:

@@ -12,7 +12,7 @@ tokens it block-decoded (each exactly once).
 import numpy as np
 import pytest
 
-from _report import write_report
+from _report import check_baseline, write_report
 from repro.obs.timing import WallTimer
 from repro.core import (
     ActivationCodec,
@@ -149,6 +149,17 @@ def test_streaming_decode_pipeline_speedup(kv_setup):
             f"{stream.decoded_tokens['values']} values (of {steps} appended)",
         ],
         data,
+    )
+    check_baseline(
+        "codec_throughput_streaming",
+        data,
+        [
+            # Wall-clock codec throughput: gate collapses only.
+            ("new_decode_tokens_per_s", "higher", 0.90),
+            # Decode-work counters are deterministic.
+            ("tokens_block_decoded.keys", "lower"),
+            ("tokens_block_decoded.values", "lower"),
+        ],
     )
     # Every appended token decoded exactly once despite `steps` full reads.
     assert stream.decoded_tokens == {"keys": steps, "values": steps}

@@ -13,7 +13,7 @@ Writes ``results/kv_decode_cache.json`` with measured tokens/s from the
 import numpy as np
 import pytest
 
-from _report import write_report
+from _report import check_baseline, write_report
 from repro.core import KVCacheCodec, KVCacheStream, calibrate_kv_meta
 from repro.perf import sw_stream_throughput
 
@@ -75,6 +75,15 @@ def test_stream_throughput_report():
             f"compression:         {data['compression_ratio']:.2f}x",
         ],
         data,
+    )
+    check_baseline(
+        "kv_decode_cache",
+        data,
+        [
+            # Wall clock: gates a collapse only.
+            ("decode_tokens_per_s", "higher", 0.90),
+            ("compression_ratio", "higher"),
+        ],
     )
     total = data["prefill_tokens"] + data["decode_steps"]
     assert data["decoded_tokens"] == {"keys": total, "values": total}

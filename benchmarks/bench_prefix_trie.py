@@ -28,7 +28,7 @@ Writes ``results/prefix_trie.json``.
 import numpy as np
 import pytest
 
-from _report import write_report
+from _report import check_baseline, write_report
 from repro.core import KVCacheStream
 from repro.serve import ServingEngine, StepCostModel, VirtualClock
 
@@ -200,6 +200,18 @@ def test_trie_reuses_where_cold_start_cannot(trie_runs):
             "budget overruns:       0 (hard invariant)",
         ],
         data,
+    )
+    # Reuse counters and the virtual-clock follower TTFT: deterministic.
+    check_baseline(
+        "prefix_trie",
+        data,
+        [
+            ("trie.prefix_tokens_reused", "higher"),
+            ("trie.split_tokens_salvaged", "higher"),
+            ("forwarded_tokens_ratio", "higher"),
+            ("ttft_follower_speedup", "higher"),
+            ("trie.pool.budget_overruns", "lower"),
+        ],
     )
 
 

@@ -16,7 +16,7 @@ Writes ``results/serve_throughput.json``.
 import numpy as np
 import pytest
 
-from _report import write_report
+from _report import check_baseline, write_report
 from repro.core import KVCacheStream
 from repro.serve import ServingEngine
 
@@ -132,6 +132,22 @@ def test_ecco_pool_doubles_admitted_requests(serve_runs):
             f"ecco {ecco['modeled_sectors']:,.0f}",
         ],
         data,
+    )
+    check_baseline(
+        "serve_throughput",
+        data,
+        [
+            # Deterministic counters: same trace, same engine, same numbers.
+            ("ecco.tokens_generated", "higher"),
+            ("ecco.finished", "higher"),
+            ("ecco.pool.peak_bytes_resident", "lower"),
+            ("ecco.pool.budget_overruns", "lower"),
+            # Wall-clock: the baseline may come from a different machine
+            # class than the runner, so these only gate collapses — a
+            # 0.90 drop is ~10x slower, a 3.0 rise is a 4x TTFT blowup.
+            ("ecco.tokens_per_s", "higher", 0.90),
+            ("ecco.ttft_s_mean", "lower", 3.00),
+        ],
     )
 
 

@@ -18,7 +18,7 @@ Writes ``results/session_reuse.json``.
 import numpy as np
 import pytest
 
-from _report import write_report
+from _report import check_baseline, write_report
 from repro.core import KVCacheStream
 from repro.serve import (
     ServingEngine,
@@ -161,6 +161,18 @@ def test_warm_turns_cut_ttft_vs_cold_start(session_runs):
             f"budget overruns:   0 (hard invariant)",
         ],
         data,
+    )
+    # Reuse counters and virtual-clock TTFTs: deterministic.
+    check_baseline(
+        "session_reuse",
+        data,
+        [
+            ("reuse.turns.reuse_fraction", "higher"),
+            ("reuse.turns.prefix_tokens_reused", "higher"),
+            ("reuse.turns.prompt_tokens_reencoded", "lower"),
+            ("reuse.turns.ttft_s_mean_warm", "lower"),
+            ("reuse.report.pool.budget_overruns", "lower"),
+        ],
     )
 
 

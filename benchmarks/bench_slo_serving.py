@@ -22,7 +22,7 @@ Writes ``results/slo_serving.json``.
 import numpy as np
 import pytest
 
-from _report import write_report
+from _report import check_baseline, write_report
 from repro.core import KVCacheStream
 from repro.obs import TraceRecorder, write_chrome_trace
 from repro.serve import (
@@ -203,6 +203,19 @@ def test_deadline_policy_beats_fcfs_on_tail_ttft(slo_runs):
             f"{slo_runs['storm']['report']['pool']['budget_overruns']}",
         ],
         data,
+    )
+    # Virtual-clock A/B and a seeded retry storm: fully deterministic.
+    check_baseline(
+        "slo_serving",
+        data,
+        [
+            ("ttft_p95_cut", "higher"),
+            ("deadline.slo_ttft_attainment", "higher"),
+            ("deadline.finished", "higher"),
+            ("deadline.pool.budget_overruns", "lower"),
+            ("storm.completed", "higher"),
+            ("storm.frontend.shed_rate", "lower"),
+        ],
     )
 
 

@@ -19,7 +19,7 @@ Writes ``results/workload_traces.json``.
 import numpy as np
 import pytest
 
-from _report import write_report
+from _report import check_baseline, write_report
 from repro.core import KVCacheStream
 from repro.obs import TraceRecorder, write_chrome_trace
 from repro.serve import (
@@ -191,6 +191,20 @@ def test_chunked_prefill_cuts_ttft_on_a_bursty_trace(workload_runs):
             f"hits, {cluster['routing']['affinity_overrides']} overrides",
         ],
         data,
+    )
+    # Virtual-clock replay of one seeded bursty trace: counters and
+    # simulated latencies are deterministic, the default threshold applies.
+    check_baseline(
+        "workload_traces",
+        data,
+        [
+            ("unchunked.prefill_forwarded_tokens", "lower"),
+            ("chunked.finished", "higher"),
+            ("chunked.ttft_s_p95", "lower"),
+            ("cluster.finished", "higher"),
+            ("cluster.ttft_s_p95", "lower"),
+            ("cluster.budget_overruns", "lower"),
+        ],
     )
 
 

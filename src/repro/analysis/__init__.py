@@ -52,7 +52,6 @@ from .registry import (
     Rule,
     iter_project_rules,
     iter_rules,
-    known_rule_ids,
     register_project_rule,
     register_rule,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "import_allowed",
     "iter_project_rules",
     "iter_rules",
-    "known_rule_ids",
     "layer_of",
     "register_project_rule",
     "register_rule",

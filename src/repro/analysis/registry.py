@@ -95,19 +95,10 @@ def register_rule(
     return deco
 
 
-def get_rule(rule_id: str) -> Rule:
-    return _REGISTRY[rule_id]
-
-
 def iter_rules() -> list[Rule]:
     """All registered rules, ordered by ID (deterministic run order)."""
     _ensure_loaded()
     return [_REGISTRY[k] for k in sorted(_REGISTRY)]
-
-
-def known_rule_ids() -> frozenset[str]:
-    _ensure_loaded()
-    return frozenset(_REGISTRY) | frozenset(_PROJECT_REGISTRY)
 
 
 def _ensure_loaded() -> None:

@@ -54,14 +54,6 @@ class ModuleInfo:
         return self.relpath.startswith("src/repro/")
 
     @property
-    def is_test(self) -> bool:
-        return self.relpath.startswith("tests/")
-
-    @property
-    def is_benchmark(self) -> bool:
-        return self.relpath.startswith("benchmarks/")
-
-    @property
     def repro_module(self) -> str | None:
         """Dotted path inside ``repro`` (``"serve.pool"``; ``""`` for
         ``repro/__init__.py``) or ``None`` outside the package."""

@@ -391,20 +391,6 @@ class ClusterRouter:
         self.last_step = [dict(engine.last_step) for engine in self.engines]
         return tokens
 
-    def run(self, max_steps: int = 100_000) -> dict:
-        """Drive ``step()`` until every replica drains."""
-        clock = self.engines[0].clock
-        start = clock()
-        steps = 0
-        while self.has_work:
-            if steps >= max_steps:
-                raise RuntimeError(
-                    f"cluster did not drain in {max_steps} steps"
-                )
-            self.step()
-            steps += 1
-        return self.report(clock() - start)
-
     # ------------------------------------------------------------------
     # Aggregated metrics.
     # ------------------------------------------------------------------

@@ -740,7 +740,13 @@ class ServingEngine:
         return self.scheduler.has_work
 
     def run(self, max_steps: int = 100_000) -> dict:
-        """Drive ``step()`` until every submitted request finishes."""
+        """Drive ``step()`` until every submitted request finishes.
+
+        The only driver on a wall clock: the async front-end pump needs
+        an advanceable ``VirtualClock``, so measuring real tokens/s
+        (``bench_serve_throughput``, ``examples/serving_engine.py``)
+        goes through this loop.
+        """
         start = self.clock()
         steps = 0
         while self.scheduler.has_work:

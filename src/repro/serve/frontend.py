@@ -274,8 +274,9 @@ class AsyncServingEngine:
     ``target`` is a :class:`~repro.serve.engine.ServingEngine` or
     :class:`~repro.serve.cluster.ClusterRouter` built on a
     :class:`~repro.serve.clock.VirtualClock`.  ``step_cost`` is the
-    per-step roofline the pump charges (ignored when the engine was
-    built with its own ``step_cost=`` and charges synchronously).
+    per-step roofline the pump charges; a target built with its own
+    ``step_cost=`` charges synchronously instead, and passing both is
+    refused (``ValueError``) rather than double-counted or dropped.
     ``max_pending`` bounds how many dispatched-but-unadmitted requests
     may sit in the engine's own queue before the front-end holds
     further dispatches back (keeping fairness decisions at the
@@ -306,6 +307,12 @@ class AsyncServingEngine:
         #: Engines built with ``step_cost=`` advance the clock as work
         #: happens; the pump must not double-charge them.
         self._self_charging = getattr(target, "step_cost", None) is not None
+        if self._self_charging and step_cost is not None:
+            raise ValueError(
+                "target already charges its own clock (step_cost set on "
+                "the engine); a pump-side step_cost would double-count — "
+                "drop one of the two"
+            )
         self.step_cost = step_cost if step_cost is not None else StepCostModel()
         if max_pending is not None and max_pending < 1:
             raise ValueError("max_pending must be >= 1")

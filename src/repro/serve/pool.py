@@ -251,10 +251,6 @@ class PagedKVPool:
     # Budget.
     # ------------------------------------------------------------------
     @property
-    def bytes_free(self) -> int:
-        return self.byte_budget - self.bytes_resident
-
-    @property
     def bytes_active(self) -> int:
         """Resident bytes pinned by live references (not evictable)."""
         return self.bytes_resident - self.bytes_evictable

@@ -197,13 +197,6 @@ def replay_sessions(
     if isinstance(target, AsyncServingEngine):
         frontend = target
     else:
-        engine_charges = getattr(target, "step_cost", None) is not None
-        if step_cost is not None and engine_charges:
-            raise ValueError(
-                "target already charges its own clock (step_cost set on "
-                "the engine); passing a replay-side step_cost would "
-                "double-count"
-            )
         frontend = AsyncServingEngine(
             target, step_cost=step_cost, max_steps=max_steps
         )

@@ -437,7 +437,13 @@ def generate_sessions(
 
 def _frontend_for(target, step_cost, max_steps):
     """``target`` itself if it already is the async front-end, else a
-    front-end wrapped around it that charges ``step_cost`` per step."""
+    front-end wrapped around it that charges ``step_cost`` per step.
+
+    Stricter than the front-end's own double-charging refusal: a timed
+    trace refuses a self-charging target even with no ``step_cost``
+    here, because a step that stalls (nothing admitted, nothing decoded)
+    charges a self-charging engine nothing, so the clock would never
+    reach the next arrival."""
     if isinstance(target, AsyncServingEngine):
         return target
     if getattr(target, "step_cost", None) is not None:

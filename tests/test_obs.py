@@ -46,8 +46,7 @@ ENGINE_PHASES = {"evict", "admit", "prefill", "preempt", "decode"}
 #: The report surface of the ``pressured_run`` fixture (plus a front-end
 #: built on its engine): sorted key lists, generated at the commit
 #: before the registry went read-through.  A vanished or new key must
-#: fail here, not print a ``[new ]`` line in ``compare_reports.py`` —
-#: extend the lists in the PR that adds the key.
+#: fail here — extend the lists in the PR that adds the key.
 ENGINE_REPORT_KEYS = """
 chunked_prefill_tokens decode_steps decode_tokens e2e_s_mean e2e_s_p50
 e2e_s_p95 e2e_s_p99 elapsed_s finished hol_blocked_steps hol_bypasses
@@ -477,7 +476,8 @@ def test_second_frontend_leaves_the_first_report_alone(parts):
 
 def test_report_surface_is_pinned(pressured_run):
     """ROADMAP 5(e), first step: the key sets of the reports are part
-    of the contract the benches and ``compare_reports.py`` read."""
+    of the contract the benches and their ``results/baseline/`` gate
+    rows read."""
     engine, recorder, clock = pressured_run
     frontend = AsyncServingEngine(engine)
     report = engine.report(clock())

@@ -19,6 +19,7 @@ import pytest
 from repro.core import KVCacheStream
 from repro.llm import ProxyModel, calibrate, get_proxy_spec
 from repro.serve import (
+    AsyncServingEngine,
     ClusterRouter,
     PagedKVPool,
     ServingEngine,
@@ -28,6 +29,7 @@ from repro.serve import (
     chain_hash,
     generate_sessions,
     replay_sessions,
+    replay_trace,
     summarize_turns,
 )
 from repro.serve.pool import ROOT_CHAIN
@@ -458,6 +460,38 @@ def test_cluster_refuses_self_charging_replicas(parts):
     )
     with pytest.raises(ValueError, match="serialize"):
         ClusterRouter([engine])
+
+
+def test_double_charging_is_refused_by_the_frontend_constructor(parts):
+    """A self-charging engine plus a pump-side ``step_cost`` would
+    charge every step twice: the front-end constructor refuses the pair
+    instead of dropping the argument, ``replay_sessions`` gets the
+    refusal from it, and a timed trace refuses a self-charging target
+    outright."""
+    spec, model, calib = parts
+
+    def engine(**kwargs):
+        clock = VirtualClock()
+        return clock, ServingEngine(
+            model, calib, byte_budget=100_000, clock=clock, **kwargs
+        )
+
+    _, charging = engine(step_cost=StepCostModel())
+    with pytest.raises(ValueError, match="double-count"):
+        AsyncServingEngine(charging, step_cost=StepCostModel())
+    # Either side alone is fine.
+    AsyncServingEngine(charging)
+    AsyncServingEngine(engine()[1], step_cost=StepCostModel())
+
+    traces = generate_sessions(
+        seed=3, num_sessions=1, vocab_size=spec.vocab_size, max_turns=2
+    )
+    clock, charging = engine(step_cost=StepCostModel())
+    with pytest.raises(ValueError, match="double-count"):
+        replay_sessions(charging, traces, clock, step_cost=StepCostModel())
+    assert replay_sessions(charging, traces, clock)["turns_rejected"] == 0
+    with pytest.raises(ValueError, match="double-count"):
+        replay_trace(charging, [], clock)
 
 
 def test_replay_only_swallows_budget_rejections(parts):

@@ -107,6 +107,44 @@ def test_make_policy_resolves_names_and_instances():
         make_policy(42)
 
 
+def test_deadline_policy_preempts_the_request_with_most_slack():
+    def request(name, arrival_s, slo=None):
+        made = Request(name, np.arange(4), max_new_tokens=4, slo=slo)
+        made.metrics.arrival_s = arrival_s
+        return made
+
+    policy = DeadlinePolicy()
+    tight = request("tight", 0.5, SLO(ttft_s=0.3))  # due 0.8, youngest
+    loose = request("loose", 0.2, SLO(ttft_s=2.0))  # due 2.2
+    mid = request("mid", 0.0, SLO(ttft_s=1.0))  # due 1.0
+    # Most slack goes first, not FCFS's youngest.
+    assert policy.pick_victim([tight, loose, mid], now=0.6) is loose
+    assert FCFSPolicy().pick_victim([tight, loose, mid], now=0.6) is tight
+
+    # No SLO and no default: infinite slack, preempted before any
+    # request that has a deadline to miss.
+    free_old = request("free-old", 0.1)
+    assert policy.pick_victim([tight, loose, free_old], now=0.6) is free_old
+
+    # Equal slack (both infinite; both due at 1.0) falls back to the
+    # youngest arrival, which is FCFS's choice.
+    free_young = request("free-young", 0.4)
+    assert policy.pick_victim([free_old, free_young], now=0.6) is free_young
+    also_mid = request("also-mid", 0.5, SLO(ttft_s=0.5))  # due 1.0
+    for candidates in ([mid, also_mid], [also_mid, mid]):
+        assert policy.pick_victim(candidates, now=0.6) is also_mid
+        assert FCFSPolicy().pick_victim(candidates, now=0.6) is also_mid
+
+    # A default SLO gives SLO-less requests a deadline (arrival + 0.5),
+    # so they stop being the automatic victim.
+    blanket = DeadlinePolicy(default_slo=SLO(ttft_s=0.5))
+    assert blanket.pick_victim([tight, loose, free_old], now=0.55) is loose
+    # free-old is due at 0.6: 0.05 s of slack against tight's 0.25.
+    assert blanket.pick_victim([tight, free_old], now=0.55) is tight
+    # ... while a request's own SLO still wins over the default.
+    assert blanket.pick_victim([loose, free_young], now=0.55) is loose
+
+
 def test_virtual_clock_refuses_backwards_and_nan():
     clock = VirtualClock()
     clock.advance(1.5)
@@ -461,7 +499,8 @@ def test_cluster_tiebreak_is_seeded_and_deterministic(parts):
             prompt = rng.integers(0, spec.vocab_size, size=10)
             request = cluster.submit(prompt, max_new_tokens=2)
             placed.append(request.replica)
-            cluster.run()
+            while cluster.has_work:
+                cluster.step()
         return placed
 
     unseeded = place(None)
