@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import (
-    decode_tables as build_decode_tables,
     pack_blocks,
     unpack_blocks,
     window_tables as build_window_tables,
@@ -329,15 +328,7 @@ class EccoTensorCodec:
 
     def __init__(self, meta: TensorMeta):
         self.meta = meta
-        self._decode_tables: list | None = None
         self._window_tables: tuple | None = None
-
-    @property
-    def decode_tables(self) -> list:
-        """(length, code) -> symbol dict per codebook (scalar reference)."""
-        if self._decode_tables is None:
-            self._decode_tables = build_decode_tables(self.meta.codebook_lengths)
-        return self._decode_tables
 
     @property
     def window_tables(self) -> tuple:
@@ -454,11 +445,6 @@ class ActivationCodec:
 
     def __init__(self, group_size: int = 128):
         self.group_size = group_size
-
-    @property
-    def compression_ratio(self) -> float:
-        # (fp16 bytes) / (codes + fp16 scale + position byte)
-        return (self.group_size * 2) / (self.group_size + 3)
 
     def roundtrip(self, tensor: np.ndarray) -> np.ndarray:
         tensor = np.asarray(tensor, dtype=np.float32)

@@ -83,11 +83,6 @@ class EccoConfig:
         )
 
     @property
-    def payload_bits(self) -> int:
-        """Bits available for Huffman codes and outlier slots."""
-        return self.block_bits - self.header_bits
-
-    @property
     def num_symbols(self) -> int:
         """Distinct Huffman symbols (the scale slot is not entropy-coded)."""
         return self.pattern_values

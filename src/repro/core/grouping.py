@@ -47,10 +47,6 @@ class NormalizedGroups:
     scales: np.ndarray  # (G,) signed scale, already rounded through fp16
     tensor_exp: int
 
-    @property
-    def abs_scales(self) -> np.ndarray:
-        return np.abs(self.scales)
-
 
 def normalize_groups(groups: np.ndarray, tensor_exp: int, config) -> NormalizedGroups:
     """Normalize each group by its (fp16-rounded) scale element."""

@@ -59,10 +59,6 @@ class TensorMeta:
     def num_patterns(self) -> int:
         return int(self.patterns.shape[0])
 
-    @property
-    def num_codebooks(self) -> int:
-        return int(self.codebook_lengths.shape[0])
-
     def metadata_bits(self) -> int:
         """Size of the shared metadata (what rides along with the tensor).
 

@@ -73,8 +73,6 @@ def prefill_chunk(
     token_ids: np.ndarray,
     start_pos: int,
     kv: ChunkKV,
-    weights: dict | None = None,
-    act_quant=None,
 ) -> np.ndarray:
     """Ingest one prompt chunk for one request; returns (T, vocab) logits.
 
@@ -84,8 +82,7 @@ def prefill_chunk(
     the chunk's own (quantized-roundtrip) K/V — the same cache-read path
     :func:`decode_step` uses — so ingesting a prompt in slices stores
     byte-identical KV to the whole-prompt pass and yields the same
-    first-token logits up to float32 summation order.  ``weights`` /
-    ``act_quant`` are the usual quantization hooks.
+    first-token logits up to float32 summation order.
     """
     spec = model.spec
     token_ids = np.asarray(token_ids, dtype=np.int64).reshape(-1)
@@ -94,7 +91,6 @@ def prefill_chunk(
         raise ValueError("empty prefill chunk")
     start_pos = int(start_pos)
     H, hd = spec.n_heads, spec.head_dim
-    aq = act_quant if act_quant is not None else (lambda x: x)
 
     half = hd // 2
     freqs = 10000.0 ** (-np.arange(half) / half)
@@ -123,10 +119,9 @@ def prefill_chunk(
     for layer in range(spec.num_layers):
         p = f"layers.{layer}."
         xn, _ = _rmsnorm(x)
-        xq = aq(xn)
-        q = xq @ model._weight(p + "attn.wq", weights).T
-        k = xq @ model._weight(p + "attn.wk", weights).T
-        v = xq @ model._weight(p + "attn.wv", weights).T
+        q = xn @ model.params[p + "attn.wq"].data.T
+        k = xn @ model.params[p + "attn.wk"].data.T
+        v = xn @ model.params[p + "attn.wv"].data.T
         q = rope(q.reshape(T, H, hd))
         k = rope(k.reshape(T, H, hd))
         v = v.reshape(T, H, hd)
@@ -149,14 +144,13 @@ def prefill_chunk(
         probs /= probs.sum(axis=-1, keepdims=True)
         ctx = np.einsum("hts,hsd->thd", probs, vh).reshape(T, H * hd)
         ctx = ctx / gv.reshape(1, H * hd)
-        x = x + aq(ctx) @ model._weight(p + "attn.wo", weights).T
+        x = x + ctx @ model.params[p + "attn.wo"].data.T
 
         xn2, _ = _rmsnorm(x)
-        xq2 = aq(xn2)
-        g = xq2 @ model._weight(p + "ffn.wg", weights).T
-        u = xq2 @ model._weight(p + "ffn.wu", weights).T
+        g = xn2 @ model.params[p + "ffn.wg"].data.T
+        u = xn2 @ model.params[p + "ffn.wu"].data.T
         h = _silu(g) * u
-        x = x + aq(h) @ model._weight(p + "ffn.wd", weights).T
+        x = x + h @ model.params[p + "ffn.wd"].data.T
 
     xf, _ = _rmsnorm(x)
     return xf @ model.params["embed"].data.T
@@ -167,16 +161,11 @@ def decode_step(
     token_ids: np.ndarray,
     positions: np.ndarray,
     kv: BatchKV,
-    weights: dict | None = None,
-    act_quant=None,
 ) -> np.ndarray:
     """Advance every request by one token; returns (R, vocab) logits.
 
     ``token_ids[r]`` is request *r*'s newest token and ``positions[r]``
     its absolute position (= tokens already cached for that request).
-    ``weights`` / ``act_quant`` are the same quantization hooks
-    :meth:`ProxyModel.forward` takes, so a quantized model serves through
-    the identical code path.
     """
     spec = model.spec
     token_ids = np.asarray(token_ids, dtype=np.int64).reshape(-1)
@@ -187,7 +176,6 @@ def decode_step(
         )
     R = token_ids.size
     H, hd = spec.n_heads, spec.head_dim
-    aq = act_quant if act_quant is not None else (lambda x: x)
 
     half = hd // 2
     freqs = 10000.0 ** (-np.arange(half) / half)
@@ -207,10 +195,9 @@ def decode_step(
     for layer in range(spec.num_layers):
         p = f"layers.{layer}."
         xn, _ = _rmsnorm(x)
-        xq = aq(xn)
-        q = xq @ model._weight(p + "attn.wq", weights).T
-        k = xq @ model._weight(p + "attn.wk", weights).T
-        v = xq @ model._weight(p + "attn.wv", weights).T
+        q = xn @ model.params[p + "attn.wq"].data.T
+        k = xn @ model.params[p + "attn.wk"].data.T
+        v = xn @ model.params[p + "attn.wv"].data.T
         q = rope(q.reshape(R, H, hd))
         k = rope(k.reshape(R, H, hd))
         v = v.reshape(R, H, hd)
@@ -234,14 +221,13 @@ def decode_step(
             probs /= probs.sum(axis=-1, keepdims=True)
             ctx[r] = np.einsum("ht,htd->hd", probs, vh).reshape(H * hd)
         ctx = ctx / gv.reshape(1, H * hd)
-        x = x + aq(ctx) @ model._weight(p + "attn.wo", weights).T
+        x = x + ctx @ model.params[p + "attn.wo"].data.T
 
         xn2, _ = _rmsnorm(x)
-        xq2 = aq(xn2)
-        g = xq2 @ model._weight(p + "ffn.wg", weights).T
-        u = xq2 @ model._weight(p + "ffn.wu", weights).T
+        g = xn2 @ model.params[p + "ffn.wg"].data.T
+        u = xn2 @ model.params[p + "ffn.wu"].data.T
         h = _silu(g) * u
-        x = x + aq(h) @ model._weight(p + "ffn.wd", weights).T
+        x = x + h @ model.params[p + "ffn.wd"].data.T
 
     xf, _ = _rmsnorm(x)
     return xf @ model.params["embed"].data.T

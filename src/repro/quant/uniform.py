@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["uniform_quantize", "rtn_weight"]
+__all__ = ["uniform_quantize"]
 
 
 def uniform_quantize(
@@ -42,9 +42,3 @@ def uniform_quantize(
         scale = np.where(scale > 0, scale, 1.0)
     q = np.clip(np.round(values / scale), -qmax - 1, qmax)
     return (q * scale).astype(np.float32)
-
-
-def rtn_weight(weight: np.ndarray, bits: int = 4) -> np.ndarray:
-    """Plain round-to-nearest with per-output-channel scales (the paper's
-    weakest weight baseline)."""
-    return uniform_quantize(weight, bits, axis=1)

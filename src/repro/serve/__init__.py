@@ -4,7 +4,7 @@ Turns the codec layers below into a multi-tenant serving system: Ecco's
 capacity win becomes admitted-requests-per-byte-budget, and its
 bandwidth win becomes modeled KV-read traffic per decode step.  On top
 of the single engine sit trace-driven workloads (``repro.serve.workload``
-— seeded Poisson/bursty/diurnal arrivals over chat/RAG/agent scenario
+— seeded Poisson/bursty arrivals over chat/RAG/agent scenario
 mixes, replayed on a virtual clock), a multi-replica router
 (``repro.serve.cluster`` — prefix-affinity + least-active-bytes routing
 with aggregated metrics), multi-turn sessions (``repro.serve.session``
@@ -53,7 +53,6 @@ from .workload import (
     TraceRequest,
     WorkloadConfig,
     bursty_arrivals,
-    diurnal_arrivals,
     generate_sessions,
     generate_trace,
     poisson_arrivals,
@@ -98,7 +97,6 @@ __all__ = [
     "chain_hash",
     "common_prefix_len",
     "decode_step_sectors",
-    "diurnal_arrivals",
     "generate_sessions",
     "generate_trace",
     "latency_percentiles",

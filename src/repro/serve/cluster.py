@@ -25,7 +25,6 @@ from .engine import ServingEngine
 from .metrics import ENGINE_COUNTERS, latency_summary
 from .pool import ROOT_CHAIN, chain_hash
 from .request import Request
-from .trie import common_prefix_len
 
 __all__ = ["ClusterRouter"]
 
@@ -37,12 +36,7 @@ class ClusterRouter:
     #: carries more than this multiple of the lightest replica's load.
     imbalance_factor = 2.0
 
-    def __init__(
-        self,
-        engines: list[ServingEngine],
-        *,
-        seed: int | None = None,
-    ):
+    def __init__(self, engines: list[ServingEngine]):
         if not engines:
             raise ValueError("a cluster needs at least one engine replica")
         if any(getattr(engine, "step_cost", None) is not None for engine in engines):
@@ -58,13 +52,6 @@ class ClusterRouter:
             )
         self.engines = list(engines)
         self.page_tokens = page_tokens.pop()
-        #: Tie-breaking between equally-loaded replicas: without a seed
-        #: the lowest index wins (stable but biased toward replica 0);
-        #: with one, ties are broken by a seeded rng — deterministic
-        #: under the seed, yet spread across the tied replicas.
-        self._tiebreak_rng = (
-            None if seed is None else np.random.default_rng(seed)
-        )
         self._affinity: dict[str, int] = {}
         #: session id -> replica.  Session affinity is *hard*: a
         #: conversation's cached KV history exists on exactly one
@@ -93,8 +80,6 @@ class ClusterRouter:
             "affinity_overrides": 0,
             "session_pins": 0,
             "session_hits": 0,
-            "dedup_groups": 0,
-            "dedup_grouped": 0,
         }
         self.registry.attach("cluster.", self.stats)
         #: Per-replica step compositions from the most recent ``step()``
@@ -128,29 +113,6 @@ class ClusterRouter:
         )
         return engine.pool.bytes_active + queued + swapped
 
-    def _pick_tied(self, indices: list[int]) -> int:
-        """One replica out of several equally-matched ones: the lowest
-        index by default, or a seeded-rng draw when the router was built
-        with a ``seed`` (deterministic under the seed, but unbiased
-        across the tied replicas instead of always hammering index 0)."""
-        if len(indices) == 1 or self._tiebreak_rng is None:
-            return indices[0]
-        return int(indices[int(self._tiebreak_rng.integers(len(indices)))])
-
-    def _least_loaded(self, candidates=None) -> int:
-        """The least-loaded replica (among ``candidates`` if given),
-        ties broken deterministically via :meth:`_pick_tied`."""
-        indices = (
-            list(candidates)
-            if candidates is not None
-            else list(range(len(self.engines)))
-        )
-        loads = [self._load(i) for i in indices]
-        best = min(loads)
-        return self._pick_tied(
-            [i for i, load in zip(indices, loads) if load == best]
-        )
-
     def _route(self, prompt: np.ndarray) -> tuple[int, str | None, str]:
         """Pick a replica; pure decision, no state change.
 
@@ -161,10 +123,7 @@ class ClusterRouter:
         actually accepted, so rejected traffic cannot skew routing.
         """
         loads = [self._load(i) for i in range(len(self.engines))]
-        floor = min(loads)
-        lightest = self._pick_tied(
-            [i for i, load in enumerate(loads) if load == floor]
-        )
+        lightest = loads.index(min(loads))  # ties: the lowest index
         key = self._prefix_key(prompt)
         if key is None:
             return lightest, None, "miss"
@@ -212,35 +171,6 @@ class ClusterRouter:
             index, key, outcome = pinned, None, "session"
         else:
             index, key, outcome = self._route(prompt)
-        return self._place(
-            index,
-            key,
-            outcome,
-            prompt,
-            max_new_tokens,
-            request_id=request_id,
-            eos_token=eos_token,
-            session_id=session_id,
-            slo=slo,
-            tenant=tenant,
-        )
-
-    def _place(
-        self,
-        index: int,
-        key: str | None,
-        outcome: str,
-        prompt: np.ndarray,
-        max_new_tokens: int,
-        request_id: str | None = None,
-        eos_token: int | None = None,
-        session_id: str | None = None,
-        slo=None,
-        tenant: str | None = None,
-    ) -> Request:
-        """Commit one routing decision: mint the ID, submit to the chosen
-        replica, and — only once the replica accepts — update IDs,
-        affinity state and routing stats."""
         if request_id is not None and request_id in self._used_ids:
             raise ValueError(f"duplicate request_id {request_id!r}")
         auto = request_id is None
@@ -287,95 +217,6 @@ class ClusterRouter:
             request_id=request.request_id,
         )
         return request
-
-    def submit_batch(self, submissions: list[dict]) -> list[Request]:
-        """Place a batch with a pre-flight prefix-dedup pass.
-
-        Each submission is a dict of :meth:`submit` keyword arguments
-        (``prompt`` required).  Submissions whose prompts share at least
-        one page of leading tokens are grouped and the whole group lands
-        on one replica — the one whose pool already holds the longest
-        piece of the shared prefix (a cheap trie probe, no references
-        taken), falling back to the least-loaded replica for a prefix no
-        pool holds yet.  Per-replica routing would otherwise scatter the
-        group and every replica would encode the shared prefix once
-        each; grouped, one member encodes it and the rest attach it from
-        the prefix cache.
-
-        Session-pinned turns keep their hard pin and singleton groups
-        fall through to normal :meth:`submit` routing, so the pass only
-        changes where *shareable* work lands.  Returns the Requests in
-        submission order.  A rejected submission propagates its
-        exception; earlier members of the batch stay submitted.
-        """
-        if not submissions:
-            return []
-        results: list[Request | None] = [None] * len(submissions)
-        loose: list[tuple[int, dict]] = []
-        for order, sub in enumerate(submissions):
-            sub = dict(sub)
-            sub["prompt"] = np.asarray(
-                sub["prompt"], dtype=np.int64
-            ).reshape(-1)
-            session_id = sub.get("session_id")
-            if session_id is not None and session_id in self._sessions:
-                results[order] = self.submit(**sub)  # hard session pin
-            else:
-                loose.append((order, sub))
-        # Sort by prompt so prefix-sharers are adjacent; for sorted
-        # sequences the LCP of any two group members is the minimum of
-        # the consecutive LCPs between them, so greedy consecutive
-        # grouping finds exactly the maximal shared-prefix runs.
-        loose.sort(key=lambda item: tuple(item[1]["prompt"].tolist()))
-        groups: list[tuple[list[tuple[int, dict]], int]] = []
-        run: list[tuple[int, dict]] = []
-        run_lcp = 0
-        for item in loose:
-            if not run:
-                run, run_lcp = [item], len(item[1]["prompt"])
-                continue
-            lcp = common_prefix_len(run[-1][1]["prompt"], item[1]["prompt"])
-            if lcp >= self.page_tokens:
-                run.append(item)
-                run_lcp = min(run_lcp, lcp)
-            else:
-                groups.append((run, run_lcp))
-                run, run_lcp = [item], len(item[1]["prompt"])
-        if run:
-            groups.append((run, run_lcp))
-        for group, lcp in groups:
-            if len(group) == 1:
-                order, sub = group[0]
-                results[order] = self.submit(**sub)
-                continue
-            shared = group[0][1]["prompt"][:lcp]
-            probes = [
-                engine.pool.probe_prefix(shared) for engine in self.engines
-            ]
-            best = max(probes)
-            if best > 0:
-                index = self._least_loaded(
-                    i for i, p in enumerate(probes) if p == best
-                )
-            else:
-                index = self._least_loaded()
-            self.stats["dedup_groups"] += 1
-            self.stats["dedup_grouped"] += len(group)
-            key = self._prefix_key(shared)
-            for order, sub in group:
-                results[order] = self._place(
-                    index,
-                    key,
-                    "dedup",
-                    sub["prompt"],
-                    sub["max_new_tokens"],
-                    request_id=sub.get("request_id"),
-                    eos_token=sub.get("eos_token"),
-                    session_id=sub.get("session_id"),
-                    slo=sub.get("slo"),
-                    tenant=sub.get("tenant"),
-                )
-        return results
 
     # ------------------------------------------------------------------
     # The cluster step loop.

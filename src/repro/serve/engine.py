@@ -18,6 +18,7 @@ exceeding it.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Callable
 
 import numpy as np
@@ -107,8 +108,6 @@ class ServingEngine:
         prefix_reuse: bool = True,
         cache_ttl_s: float | None = None,
         step_cost: StepCostModel | None = None,
-        weights: dict | None = None,
-        act_quant=None,
         record_reference: bool = False,
         clock: Callable[[], float] = wall_clock,
         recorder=None,
@@ -161,23 +160,22 @@ class ServingEngine:
                 page_tokens,
                 -(-prefill_chunk_tokens // page_tokens) * page_tokens,
             )
-        if step_token_budget is not None and step_token_budget < 1:
-            raise ValueError("step_token_budget must be >= 1")
+        if step_token_budget is not None:
+            if step_token_budget < 1:
+                raise ValueError("step_token_budget must be >= 1")
+            if prefill_chunk_tokens is None:
+                raise ValueError(
+                    "step_token_budget budgets chunked prefill; set "
+                    "prefill_chunk_tokens with it"
+                )
         self.prefill_chunk_tokens = prefill_chunk_tokens
         self.step_token_budget = step_token_budget
         #: Cross-turn/cross-request prefix reuse: at admission the pool's
         #: hash chain is matched against the prompt and every resident
         #: page (including promoted conversation tails) is attached
         #: instead of re-encoded; only the unmatched suffix is forwarded.
-        #: Disable to benchmark cold-start behaviour.  CAUTION when
-        #: combining with ``record_reference``: an attached prefix has
-        #: no raw (pre-quantization) K/V to record, so ``raw_prompt``
-        #: covers only the *forwarded* suffix.  Naive whole-prompt
-        #: reference audits must either disable reuse (what
-        #: bench_serve_throughput/bench_workload_traces do) or rebuild
-        #: the reference reuse-aware by concatenating raws across the
-        #: turns that actually encoded each span (what
-        #: bench_session_reuse does).
+        #: Disable to benchmark cold-start behaviour.  An attached prefix
+        #: records no raw K/V; :meth:`audit_kv` accounts for that.
         self.prefix_reuse = bool(prefix_reuse)
         #: Optional synchronous charging: when set (with a virtual
         #: ``clock``), prefill and decode work advances the clock as it
@@ -194,8 +192,6 @@ class ServingEngine:
             )
         self.set_obs_track("engine")
         self._last_pool_sample = None
-        self.weights = weights
-        self.act_quant = act_quant
         self.record_reference = record_reference
         self.clock = clock
         self.requests: list[Request] = []
@@ -368,15 +364,6 @@ class ServingEngine:
                 break
             if head_stuck and bypassed >= self.hol_bypass_limit:
                 break
-            if (
-                self.step_token_budget is not None
-                and self.prefill_chunk_tokens is None
-                and self.step_token_budget
-                - len(scheduler.running)
-                - tokens
-                <= 0
-            ):
-                break
             # Unified headroom formula: the prompt plus one decode token
             # of growth — exactly what the swapped path asks for — so a
             # fresh admission is never immediately preempted for lack of
@@ -437,17 +424,12 @@ class ServingEngine:
                 request.prompt[attached:],
                 attached,
                 _ChunkIngestKV(request.kv),
-                weights=self.weights,
-                act_quant=self.act_quant,
             )
             request.kv.commit_chunk()
             last_logits = logits[-1]
         else:
             logits = self.model.forward(
-                request.prompt[None, :],
-                weights=self.weights,
-                act_quant=self.act_quant,
-                kv_quant=request.kv.prefill_hook(),
+                request.prompt[None, :], kv_quant=request.kv.prefill_hook()
             )
             request.kv.commit_prompt()
             last_logits = logits[0, -1]
@@ -488,9 +470,11 @@ class ServingEngine:
         if request.finished:
             self._finish(request, now)
 
-    def _chunk_work(self, tokens_used: int) -> int:
+    def _chunk_work(self) -> int:
         """Run prefill chunks for PREFILLING requests within the step's
-        token budget; returns the prompt tokens ingested."""
+        token budget (chunked engines admit without ingesting, so these
+        chunks and the decode batch are all the step spends); returns the
+        prompt tokens ingested."""
         scheduler, pool = self.scheduler, self.pool
         per_token = self.backend.per_token_nbytes
         page = self.pool.page_tokens
@@ -509,10 +493,7 @@ class ServingEngine:
             allowance = None
             if self.step_token_budget is not None:
                 allowance = (
-                    self.step_token_budget
-                    - tokens_used
-                    - tokens
-                    - len(scheduler.running)
+                    self.step_token_budget - tokens - len(scheduler.running)
                 )
                 if allowance <= 0:
                     break
@@ -572,8 +553,6 @@ class ServingEngine:
                 request.prompt[start:end],
                 start,
                 _ChunkIngestKV(request.kv),
-                weights=self.weights,
-                act_quant=self.act_quant,
             )
             request.kv.commit_chunk()
             request.prefill_pos = end
@@ -668,7 +647,7 @@ class ServingEngine:
         with obs.span("admit", tracks["admit"], cat="phase"):
             prefill_tokens = self._admit()
         with obs.span("prefill", tracks["prefill"], cat="phase"):
-            prefill_tokens += self._chunk_work(prefill_tokens)
+            prefill_tokens += self._chunk_work()
         with obs.span("preempt", tracks["preempt"], cat="phase"):
             if self.scheduler.running:
                 self._ensure_decode_capacity()
@@ -695,14 +674,7 @@ class ServingEngine:
         token_ids = np.array([r.generated[-1] for r in batch], dtype=np.int64)
         positions = np.array([r.kv.num_tokens for r in batch], dtype=np.int64)
         batch_kv = _PoolBatchKV(batch)
-        logits = decode_step(
-            self.model,
-            token_ids,
-            positions,
-            batch_kv,
-            weights=self.weights,
-            act_quant=self.act_quant,
-        )
+        logits = decode_step(self.model, token_ids, positions, batch_kv)
         for request in batch:
             request.kv.commit_token(request.generated[-1])
         # Traffic is accounted after commits (so the fp16-equivalent sum
@@ -755,6 +727,84 @@ class ServingEngine:
             self.step()
             steps += 1
         return self.report(self.clock() - start)
+
+    def audit_kv(self) -> list[str]:
+        """The bit-exact KV contract, checked over every request this
+        engine admitted; returns the violations found (empty = holds).
+
+        The rows a request forwarded itself — its recorded raw K/V —
+        must read back equal to a single-stream store of those rows
+        alone (``backend.roundtrip_rows``), however they were batched
+        with other requests, chunked, paged, swapped or coalesced on the
+        way.  An attached prefix recorded no raw rows, so each row a
+        request attached from the prefix cache must equal a row some
+        request of this engine produced that way for the identical token
+        prefix — the turn that actually encoded it.  Needs
+        ``record_reference=True``.
+        """
+        if not self.record_reference:
+            raise ValueError(
+                "audit_kv needs the raw K/V record: build the engine with "
+                "record_reference=True"
+            )
+        problems: list[str] = []
+        produced: dict[tuple, set[bytes]] = {}
+        borrowed: list[tuple] = []
+        for request in self.requests:
+            kv = request.kv
+            if kv is None or not kv.token_ids:
+                continue  # never admitted, or nothing ingested yet
+            digest = hashlib.blake2b(digest_size=12)
+            prefixes = []
+            for token in kv.token_ids:
+                digest.update(int(token).to_bytes(8, "little"))
+                prefixes.append(digest.digest())
+            own_from = kv.attached_tokens
+            for layer in range(self.backend.num_layers):
+                for side in ("keys", "values"):
+                    stored = kv.read(layer, side)
+                    parts = [row[None, :] for row in kv.raw_decode[layer][side]]
+                    if kv.raw_prompt[layer][side] is not None:
+                        parts.insert(0, kv.raw_prompt[layer][side])
+                    raw_rows = sum(part.shape[0] for part in parts)
+                    if own_from + raw_rows != stored.shape[0]:
+                        problems.append(
+                            f"{request.request_id}: layer {layer} {side} "
+                            f"stores {stored.shape[0]} rows but attached "
+                            f"{own_from} and recorded {raw_rows}"
+                        )
+                        continue
+                    if parts and not np.array_equal(
+                        self.backend.roundtrip_rows(
+                            layer, side, np.concatenate(parts, axis=0)
+                        ),
+                        stored[own_from:],
+                    ):
+                        problems.append(
+                            f"{request.request_id}: layer {layer} {side} "
+                            f"differs from the single-stream reference"
+                        )
+                    for pos, prefix in enumerate(prefixes):
+                        row = stored[pos].tobytes()
+                        if pos < own_from:
+                            borrowed.append(
+                                (request.request_id, layer, side, prefix, row)
+                            )
+                        else:
+                            produced.setdefault(
+                                (layer, side, prefix), set()
+                            ).add(row)
+        orphaned = dict.fromkeys(
+            request_id
+            for request_id, layer, side, prefix, row in borrowed
+            if row not in produced.get((layer, side, prefix), ())
+        )
+        problems.extend(
+            f"{request_id}: an attached row matches no single-stream "
+            f"encode of its token prefix"
+            for request_id in orphaned
+        )
+        return problems
 
     def report(self, elapsed_s: float) -> dict:
         summary = self.metrics.summary(self.requests, self.pool, elapsed_s)

@@ -164,7 +164,8 @@ class StreamHandle:
     Iterate to receive tokens as the engine generates them; the
     iterator ends when the request finishes, and raises if the request
     was rejected (never fit the budget), shed (queue full or SLO blown
-    at admission) or timed out against the client's own deadline.
+    at admission), timed out against the client's own deadline, or
+    failed with the pump (``engine.step()`` raised).
     ``request`` is the engine-side :class:`~repro.serve.request.Request`
     once the front-end has dispatched the submission (``None`` while it
     still waits in a tenant queue).
@@ -183,7 +184,9 @@ class StreamHandle:
     # -- front-end side -------------------------------------------------
     @property
     def done(self) -> bool:
-        return self.status in ("finished", "rejected", "shed", "timeout")
+        return self.status in (
+            "finished", "rejected", "shed", "timeout", "failed"
+        )
 
     @property
     def tenant(self) -> str:
@@ -333,7 +336,8 @@ class AsyncServingEngine:
         self._service_times: list[float] = []
         self._wake = asyncio.Event()
         self._stopping = False
-        self._drain = True
+        #: What killed the pump, if anything did (see :meth:`_run_pump`).
+        self._crashed: Exception | None = None
         self.steps = 0
         self.tokens_processed = 0
         #: Observability: the front-end shares the engine's (or
@@ -719,18 +723,41 @@ class AsyncServingEngine:
     # ------------------------------------------------------------------
     # Drivers.
     # ------------------------------------------------------------------
-    async def serve(self, *clients, drain: bool = True):
+    async def _run_pump(self) -> None:
+        """:meth:`_pump`, and the one duty of a pump that dies: no token
+        will ever be published again, so every open stream — dispatched
+        or still queued — fails with the pump's exception instead of
+        leaving whoever iterates it waiting forever."""
+        try:
+            await self._pump()
+        except Exception as error:
+            self._crashed = error
+            queued = [h for t in self._tenants.values() for h in t.queue]
+            for handle in self._live + queued:
+                handle._fail(error, "failed")
+            self._live = []
+            for tenant in self._tenants.values():
+                tenant.queue.clear()
+            raise
+
+    async def serve(self, *clients):
         """Run the pump alongside ``clients`` (coroutines); returns
         their results in order.
 
-        The pump runs until every client has returned and — with
-        ``drain`` (default) — the engine has no work left, so
-        fire-and-forget submissions still complete.  A client exception
-        cancels the run and propagates.
+        The pump runs until every client has returned and the engine has
+        no work left, so fire-and-forget submissions still complete.  A
+        client exception cancels the run and propagates.  So does an
+        exception out of ``target.step()``, after failing every open
+        stream with it; the target was left mid-step, so this front-end
+        then refuses to serve again.
         """
+        if self._crashed is not None:
+            raise RuntimeError(
+                "front-end pump crashed earlier and left its target "
+                "mid-step; build a new engine and front-end"
+            ) from self._crashed
         self._stopping = False
-        self._drain = drain
-        pump = asyncio.ensure_future(self._pump())
+        pump = asyncio.ensure_future(self._run_pump())
         work = asyncio.ensure_future(asyncio.gather(*clients))
         await asyncio.wait({pump, work}, return_when=asyncio.FIRST_COMPLETED)
         if pump.done() and not work.done():
@@ -752,21 +779,14 @@ class AsyncServingEngine:
             except (asyncio.CancelledError, Exception):  # noqa: BLE001
                 pass
             raise
-        if drain:
-            self._stopping = True
-            self._wake.set()
-            await pump
-        else:
-            pump.cancel()
-            try:
-                await pump
-            except asyncio.CancelledError:
-                pass
+        self._stopping = True
+        self._wake.set()
+        await pump
         return results
 
-    def drive(self, *clients, drain: bool = True):
+    def drive(self, *clients):
         """Synchronous convenience: ``asyncio.run`` the serve loop."""
-        return asyncio.run(self.serve(*clients, drain=drain))
+        return asyncio.run(self.serve(*clients))
 
     # ------------------------------------------------------------------
     # Backpressure report.

@@ -482,13 +482,6 @@ class PagedKVPool:
             )
         return match
 
-    def probe_prefix(self, token_ids) -> int:
-        """Tokens a lookup would match (full pages + partial head), with
-        no counters recorded and no split performed — the cheap probe
-        the cluster router's pre-flight dedup uses to place a group on
-        the replica already holding its shared prefix."""
-        return self.trie.match(token_ids, ROOT_CHAIN).matched_tokens
-
     # ------------------------------------------------------------------
     # Partial-page splitting.
     # ------------------------------------------------------------------

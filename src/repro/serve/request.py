@@ -107,11 +107,6 @@ class Request:
         return int(self.prompt.size)
 
     @property
-    def num_tokens(self) -> int:
-        """Prompt plus generated tokens so far."""
-        return self.prompt_len + len(self.generated)
-
-    @property
     def prefill_done(self) -> bool:
         """True once every prompt token has been ingested into the KV."""
         return self.prefill_pos >= self.prompt_len

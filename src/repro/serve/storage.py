@@ -851,6 +851,13 @@ class EccoKVBackend:
         rows — one codec call however many requests or pages they span."""
         return self.codec(layer, side).encode_tokens(rows)
 
+    def roundtrip_rows(self, layer: int, side: str, rows: np.ndarray):
+        """What a store of ``rows`` on their own reads back as — the
+        single-stream reference ``ServingEngine.audit_kv`` holds the
+        step-batched, paged, shared serving path to."""
+        codec = self.codec(layer, side)
+        return codec.decode_tokens(codec.encode_tokens(rows))
+
     @staticmethod
     def slice_segment(segment, token_counts) -> list:
         """Cut a segment into consecutive parts of ``token_counts``
@@ -905,6 +912,9 @@ class Fp16KVBackend:
     @staticmethod
     def encode_rows(layer: int, side: str, rows: np.ndarray) -> np.ndarray:
         return np.asarray(rows).astype(np.float16)
+
+    def roundtrip_rows(self, layer: int, side: str, rows: np.ndarray):
+        return self.encode_rows(layer, side, rows).astype(np.float32)
 
     @staticmethod
     def slice_segment(segment, token_counts) -> list:

@@ -3,10 +3,8 @@
 Three layers, all seeded and deterministic:
 
 * **Arrival processes** — request timestamps over a window: homogeneous
-  Poisson, bursty (a two-state on/off modulated Poisson, the classic
-  MMPP-2 shape of production traffic spikes), and diurnal (a sinusoidal
-  rate thinned from a Poisson majorant, a day compressed into however
-  many seconds the simulation affords).
+  Poisson and bursty (a two-state on/off modulated Poisson, the classic
+  MMPP-2 shape of production traffic spikes).
 * **Scenario generators** — what each request looks like: ``chat``
   (one short shared system prompt + a unique turn), ``rag`` (one of a
   few *long* shared system prompts — the retrieval corpus preamble —
@@ -49,7 +47,6 @@ __all__ = [
     "VirtualClock",
     "WorkloadConfig",
     "bursty_arrivals",
-    "diurnal_arrivals",
     "generate_sessions",
     "generate_trace",
     "poisson_arrivals",
@@ -107,35 +104,12 @@ def bursty_arrivals(
     return np.sort(np.concatenate(times))
 
 
-def diurnal_arrivals(
-    mean_rps: float,
-    duration_s: float,
-    rng: np.random.Generator,
-    period_s: float | None = None,
-    amplitude: float = 0.8,
-) -> np.ndarray:
-    """Sinusoidal-rate Poisson arrivals via thinning: one "day" of
-    traffic (peak at mid-period) compressed into ``duration_s``."""
-    if not 0.0 <= amplitude <= 1.0:
-        raise ValueError("amplitude must be in [0, 1]")
-    period = duration_s if period_s is None else period_s
-    peak = mean_rps * (1.0 + amplitude)
-    majorant = poisson_arrivals(peak, duration_s, rng)
-    phase = 2.0 * np.pi * majorant / period
-    rate = mean_rps * (1.0 - amplitude * np.cos(phase))
-    keep = rng.uniform(0.0, peak, size=majorant.size) < rate
-    return majorant[keep]
-
-
 _ARRIVALS = {
     "poisson": lambda cfg, rng: poisson_arrivals(
         cfg.rate_rps, cfg.duration_s, rng
     ),
     "bursty": lambda cfg, rng: bursty_arrivals(
         cfg.rate_rps * 0.25, cfg.rate_rps * 3.0, cfg.duration_s, rng
-    ),
-    "diurnal": lambda cfg, rng: diurnal_arrivals(
-        cfg.rate_rps, cfg.duration_s, rng
     ),
 }
 
@@ -172,7 +146,7 @@ class WorkloadConfig:
 
     duration_s: float = 30.0
     rate_rps: float = 1.0
-    arrivals: str = "poisson"          # poisson | bursty | diurnal
+    arrivals: str = "poisson"          # poisson | bursty
     mix: dict = field(
         default_factory=lambda: {"chat": 0.6, "rag": 0.25, "agent": 0.15}
     )

@@ -177,7 +177,7 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "engine-mutable-default", "mutable-default", ("INV004",), SERVE + "engine.py",
-        "        weights: dict | None = None,", "        weights: dict | None = {},",
+        "        calib=None,", "        calib=[],",
     ),
     # -- asyncio: atomicity, dropped coroutines, blocking calls ----------
     Mutant(

@@ -98,7 +98,6 @@ def test_unpack_blocks_matches_scalar_reference(weight_setup):
 def test_decode_tables_cached_per_codec(weight_setup):
     meta, _tensor = weight_setup
     codec = EccoTensorCodec(meta)
-    assert codec.decode_tables is codec.decode_tables
     assert codec.window_tables is codec.window_tables
 
 

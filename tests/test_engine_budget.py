@@ -258,3 +258,11 @@ def test_hol_blocking_not_counted_without_fresh_work(tiny_engine_parts):
     assert report["preemptions"] >= 1
     assert report["hol_blocked_steps"] == 0
     assert report["hol_bypasses"] == 0
+
+
+def test_step_token_budget_needs_chunked_prefill(tiny_engine_parts):
+    """The per-step token budget paces prefill *chunks*; without
+    ``prefill_chunk_tokens`` there is nothing for it to pace."""
+    _spec, model, calib = tiny_engine_parts
+    with pytest.raises(ValueError, match="prefill_chunk_tokens"):
+        ServingEngine(model, calib, byte_budget=80_000, step_token_budget=24)

@@ -404,8 +404,8 @@ def _frontend_replay(parts):
         max_tokens=16,
     )
     trace = generate_trace(cfg, seed=12)
-    replay_trace(frontend, trace, clock)
-    return frontend, engine, trace
+    totals = replay_trace(frontend, trace, clock)
+    return frontend, engine, trace, totals
 
 
 def test_registry_snapshot_matches_engine_summary(pressured_run, parts):
@@ -448,9 +448,13 @@ def test_registry_snapshot_matches_engine_summary(pressured_run, parts):
         == total_evictions
     )
 
-    frontend, replayed, _ = _frontend_replay(parts)
+    frontend, replayed, _, totals = _frontend_replay(parts)
     report = frontend.report()
     assert report["accepted"] > 0 and report["shed_queue_full"] > 0
+    # The replay counts what the front door shed; it swallows nothing.
+    assert totals["submitted"] == report["accepted"]
+    assert totals["rejected"] == report["shed_queue_full"]
+    assert replayed.registry.value("client.shed") == totals["rejected"]
     for key in frontend.metrics:
         held = replayed.registry.value(f"frontend.{key}", default=None)
         assert held == frontend.metrics[key] and type(held) is int, key
@@ -463,7 +467,7 @@ def test_second_frontend_leaves_the_first_report_alone(parts):
     on the engine's registry; that used to zero the ``frontend.*``
     series an earlier front-end's ``report()`` read back.  Each
     front-end reports its own counts; the registry shows the latest."""
-    first, engine, trace = _frontend_replay(parts)
+    first, engine, trace, _ = _frontend_replay(parts)
     before = first.report()
     assert before["arrivals"] == len(trace) and before["accepted"] > 0
     assert engine.registry.value("frontend.arrivals") == len(trace)

@@ -11,10 +11,9 @@ orphans a cached chain; (5) eviction takes the cheapest leaf first —
 minimum ``(1 + hits) * nbytes``, ties least-recently-used; (6) the
 incremental leaf index never disagrees with a ground-truth recompute;
 (7) the engine's warm partial attach generates exactly the tokens a
-cold run would; (8) the cluster's pre-flight batch dedup lands a
-shared-prefix group on one replica; (9) probes record nothing; (10) the
-trie refuses a second page for a resident chain; (11) the engine's
-``cache_ttl_s`` ages an idle cached chain out in the evict phase.
+cold run would; (8) probes record nothing; (9) the trie refuses a second
+page for a resident chain; (10) the engine's ``cache_ttl_s`` ages an idle
+cached chain out in the evict phase.
 """
 
 import numpy as np
@@ -22,7 +21,6 @@ import pytest
 
 from repro.llm import ProxyModel, calibrate, get_proxy_spec
 from repro.serve import (
-    ClusterRouter,
     KVPage,
     PagedKVPool,
     PrefixTrie,
@@ -407,44 +405,6 @@ def test_engine_partial_attach_matches_cold_generation(parts):
     _check_invariants(trie_engine.pool)
 
 
-def test_cluster_batch_dedup_groups_shared_prefixes(parts):
-    spec, model, calib = parts
-    rng = np.random.default_rng(31)
-    engines = [
-        ServingEngine(
-            model, calib, byte_budget=2_000_000, page_tokens=8
-        )
-        for _ in range(2)
-    ]
-    cluster = ClusterRouter(engines)
-    shared = rng.integers(0, spec.vocab_size, size=16)
-    group = [
-        {
-            "prompt": np.concatenate(
-                [shared, rng.integers(0, spec.vocab_size, size=4)]
-            ),
-            "max_new_tokens": 2,
-        }
-        for _ in range(3)
-    ]
-    lone = {
-        "prompt": rng.integers(0, spec.vocab_size, size=20),
-        "max_new_tokens": 2,
-    }
-    requests = cluster.submit_batch(group + [lone])
-    assert len(requests) == 4
-    replicas = {r.replica for r in requests[:3]}
-    assert len(replicas) == 1  # the shared-prefix group stays together
-    assert cluster.stats["dedup_groups"] == 1
-    assert cluster.stats["dedup_grouped"] == 3
-    while cluster.has_work:
-        cluster.step()
-    report = cluster.report(1.0)
-    assert report["routing"]["dedup_groups"] == 1
-    # Grouping paid off: the later members attached the shared prefix.
-    assert report["prefix_tokens_reused"] > 0
-
-
 def test_probes_record_nothing():
     rng = np.random.default_rng(41)
     pool, seqs = _random_pool(rng)
@@ -452,7 +412,6 @@ def test_probes_record_nothing():
     for seq in seqs:
         # A whole chain, a mid-page stop, and an unrelated query.
         for query in (seq, seq[:6], seq[::-1]):
-            pool.probe_prefix(query)
             pool.match_prefix(query)
     assert pool.snapshot() == before
 

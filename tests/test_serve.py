@@ -484,25 +484,7 @@ def test_engine_preempts_in_compressed_form_and_reuses_decoded_cache(
     assert redecode <= bound
 
     # And the multi-tenant decoded KV is bit-exact vs a single-stream run.
-    for request in requests:
-        kv = request.kv
-        for layer, (key_codec, value_codec) in enumerate(engine.backend.codecs):
-            reference = KVCacheStream(
-                key_codec=key_codec, value_codec=value_codec
-            )
-            reference.append_tokens(
-                kv.raw_prompt[layer]["keys"], kv.raw_prompt[layer]["values"]
-            )
-            for k_row, v_row in zip(
-                kv.raw_decode[layer]["keys"], kv.raw_decode[layer]["values"]
-            ):
-                reference.append(k_row, v_row)
-            assert np.array_equal(
-                reference.read_keys(), kv.read(layer, "keys")
-            )
-            assert np.array_equal(
-                reference.read_values(), kv.read(layer, "values")
-            )
+    assert engine.audit_kv() == []
 
 
 def test_engine_rejects_requests_that_can_never_fit(tiny_engine_parts):
@@ -512,3 +494,48 @@ def test_engine_rejects_requests_that_can_never_fit(tiny_engine_parts):
     )
     with pytest.raises(ValueError, match="pool budget"):
         engine.submit(np.arange(10) % spec.vocab_size, max_new_tokens=50)
+
+
+# ----------------------------------------------------------------------
+# audit_kv: the bit-exact oracle must bite.
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("storage", ["ecco", "fp16"])
+def test_audit_kv_names_the_request_that_broke_the_contract(
+    tiny_engine_parts, storage
+):
+    spec, model, calib = tiny_engine_parts
+    parts = (model, calib if storage == "ecco" else None)
+    with pytest.raises(ValueError, match="record_reference=True"):
+        ServingEngine(*parts, storage=storage, byte_budget=200_000).audit_kv()
+    engine = ServingEngine(
+        *parts, storage=storage, byte_budget=200_000, record_reference=True
+    )
+    rng = np.random.default_rng(5)
+    head = rng.integers(0, spec.vocab_size, size=16)
+    for name in ("leader", "follower"):
+        tail = rng.integers(0, spec.vocab_size, size=5)
+        engine.submit(np.concatenate([head, tail]), 4, request_id=name)
+        engine.run()
+    leader, follower = engine.requests
+    assert follower.kv.attached_tokens == 16
+    assert engine.audit_kv() == []
+
+    # Overwrite one row the follower encoded itself with its neighbour.
+    if storage == "ecco":
+        rows = follower.kv.streams[1]._buffer["keys"]
+    else:
+        rows = follower.kv._read_cache[1]["keys"].copy()
+        follower.kv._read_cache[1]["keys"] = rows
+    kept = rows[18].copy()
+    rows[18] = rows[19]
+    assert engine.audit_kv() == [
+        "follower: layer 1 keys differs from the single-stream reference"
+    ]
+    rows[18] = kept
+    # An attached prefix nobody (that the engine knows of) produced.
+    engine.requests.remove(leader)
+    assert engine.audit_kv() == [
+        "follower: an attached row matches no single-stream encode of its "
+        "token prefix"
+    ]

@@ -16,12 +16,14 @@ TTFT under synchronous charging, and cluster session affinity.
 import numpy as np
 import pytest
 
-from repro.core import KVCacheStream
 from repro.llm import ProxyModel, calibrate, get_proxy_spec
 from repro.serve import (
+    SLO,
     AsyncServingEngine,
     ClusterRouter,
+    DeadlinePolicy,
     PagedKVPool,
+    RequestState,
     ServingEngine,
     Session,
     StepCostModel,
@@ -350,24 +352,9 @@ def test_session_turns_attach_full_history_and_stay_bit_exact(parts):
     assert report["pool"]["shared_fp16_bytes_saved"] > 0
     assert engine.pool.unreachable_cached_pages() == []
 
-    # Bit-exactness: one reference stream per layer over all turns' raw
-    # K/V (warm turns record only their forwarded suffix, so the
-    # concatenation covers every position exactly once).
-    final = session.requests[-1]
-    for layer, (key_codec, value_codec) in enumerate(engine.backend.codecs):
-        reference = KVCacheStream(key_codec=key_codec, value_codec=value_codec)
-        for request in session.requests:
-            raw_prompt = request.kv.raw_prompt[layer]
-            reference.append_tokens(raw_prompt["keys"], raw_prompt["values"])
-            for k_row, v_row in zip(
-                request.kv.raw_decode[layer]["keys"],
-                request.kv.raw_decode[layer]["values"],
-            ):
-                reference.append(k_row, v_row)
-        assert np.array_equal(reference.read_keys(), final.kv.read(layer, "keys"))
-        assert np.array_equal(
-            reference.read_values(), final.kv.read(layer, "values")
-        )
+    # Bit-exactness: warm turns record only their forwarded suffix; the
+    # audit holds every attached row to the turn that encoded it.
+    assert engine.audit_kv() == []
 
 
 def test_warm_turns_beat_cold_ttft_under_synchronous_charging(parts):
@@ -508,6 +495,17 @@ def test_replay_only_swallows_budget_rejections(parts):
     assert first["turns_rejected"] == 0
     with pytest.raises(ValueError, match="duplicate request_id"):
         replay_sessions(engine, traces, clock, step_cost=StepCostModel())
+    # A pool both conversations outgrow (16 kB = 64 tokens): the turn
+    # that can never fit is rejected at submit and counted, and it ends
+    # its session — the turns after it need its reply.
+    clock = VirtualClock()
+    tight = ServingEngine(model, calib, byte_budget=16_384, clock=clock)
+    result = replay_sessions(tight, traces, clock, step_cost=StepCostModel())
+    turns = [session.num_turns for session in result["sessions"]]
+    assert all(n < trace.num_turns for n, trace in zip(turns, traces))
+    assert result["turns_rejected"] == 2
+    assert result["turns_submitted"] == sum(turns) > 0
+    assert tight.report(clock())["finished"] == sum(turns)
 
 
 def test_engine_refuses_step_cost_on_a_wall_clock(parts):
@@ -516,3 +514,35 @@ def test_engine_refuses_step_cost_on_a_wall_clock(parts):
         ServingEngine(
             model, calib, byte_budget=100_000, step_cost=StepCostModel()
         )
+
+
+def test_replay_stops_a_session_whose_turn_is_shed_at_admission(parts):
+    """Under a deadline policy a turn whose TTFT objective is already
+    blown when it reaches admission is shed; the replay counts it and
+    the session goes no further."""
+    spec, model, calib = parts
+    traces = generate_sessions(
+        seed=19, num_sessions=2, min_turns=2, max_turns=2,
+        start_window_s=1e-9, vocab_size=spec.vocab_size,
+    )
+    clock = VirtualClock()
+    engine = ServingEngine(
+        model,
+        calib,
+        byte_budget=300_000,
+        # One at a time: whoever is admitted second has waited out the
+        # other's whole prefill (>= 0.1 s) against a 0.05 s TTFT.
+        max_batch_size=1,
+        policy=DeadlinePolicy(default_slo=SLO(ttft_s=0.05)),
+        clock=clock,
+    )
+    result = replay_sessions(
+        engine, traces, clock,
+        step_cost=StepCostModel(compute_s_per_token=1e-2),
+    )
+    served, shed = result["sessions"]
+    assert shed.requests[-1].state is RequestState.SHED
+    assert (served.num_turns, shed.num_turns) == (2, 1)
+    assert (result["turns_submitted"], result["turns_rejected"]) == (3, 1)
+    report = engine.report(clock())
+    assert (report["finished"], report["shed_requests"]) == (2, 1)

@@ -11,9 +11,10 @@ cluster tie-breaking, empty-batch routing, and percentile reporting.
 """
 
 import numpy as np
+import asyncio
+
 import pytest
 
-from repro.core import KVCacheStream
 from repro.llm import ProxyModel, calibrate, get_proxy_spec
 from repro.serve import (
     SLO,
@@ -28,6 +29,7 @@ from repro.serve import (
     RetryPolicy,
     ServingEngine,
     StepCostModel,
+    TraceRequest,
     VirtualClock,
     WorkloadConfig,
     generate_trace,
@@ -212,25 +214,7 @@ def test_async_streaming_is_bit_exact_vs_sync_engine(parts):
     assert clock() > 0.0  # the pump charged simulated time
 
     # Decoded KV through the async path == single-stream reference.
-    for request in requests.values():
-        kv = request.kv
-        for layer, (key_codec, value_codec) in enumerate(
-            engine.backend.codecs
-        ):
-            reference = KVCacheStream(
-                key_codec=key_codec, value_codec=value_codec
-            )
-            reference.append_tokens(
-                kv.raw_prompt[layer]["keys"], kv.raw_prompt[layer]["values"]
-            )
-            for k_row, v_row in zip(
-                kv.raw_decode[layer]["keys"], kv.raw_decode[layer]["values"]
-            ):
-                reference.append(k_row, v_row)
-            assert np.array_equal(reference.read_keys(), kv.read(layer, "keys"))
-            assert np.array_equal(
-                reference.read_values(), kv.read(layer, "values")
-            )
+    assert engine.audit_kv() == []
 
 
 def test_frontend_replay_is_deterministic(parts):
@@ -430,6 +414,11 @@ def test_retry_storm_converges_with_bounded_shed_and_no_overruns(parts):
         ),
         seed=13,
     )
+    # One arrival the 90 kB pool can never hold (256 B a token): every
+    # attempt that gets past the front door is rejected, the 429 path.
+    trace.append(
+        TraceRequest(3.0, np.zeros(400, dtype=np.int64), max_new_tokens=4)
+    )
     # Slowed roofline + a one-deep front door: bursts overflow into
     # sheds and client timeouts, which retry with backoff.
     step_cost = StepCostModel(compute_s_per_token=1e-2)
@@ -457,6 +446,7 @@ def test_retry_storm_converges_with_bounded_shed_and_no_overruns(parts):
     assert result["retries"] > 0  # the storm actually stormed
     assert result["timeouts"] > 0  # ...with impatient clients timing out
     assert result["shed"] > 0  # ...and the front door turning load away
+    assert result["rejected"] == result["frontend"]["rejected_429"] > 0
     assert result["attempts"] <= result["trace_requests"] * retry.max_attempts
     # Bounded shedding: backoff spread the storm out instead of letting
     # it collapse into rejecting everything.
@@ -469,42 +459,67 @@ def test_retry_storm_converges_with_bounded_shed_and_no_overruns(parts):
 
 
 # ----------------------------------------------------------------------
-# Cluster satellites: seeded tie-breaking, empty batches.
+# The pump under failure.
 # ----------------------------------------------------------------------
 
-def _cluster(parts, seed):
-    engines = [
-        make_engine(parts, VirtualClock(), byte_budget=100_000)
-        for _ in range(3)
-    ]
-    return ClusterRouter(engines, seed=seed)
-
-
-def test_cluster_empty_batch_returns_empty_list(parts):
-    cluster = _cluster(parts, seed=None)
-    assert cluster.submit_batch([]) == []
-    assert not cluster.has_work
-
-
-def test_cluster_tiebreak_is_seeded_and_deterministic(parts):
+def test_pump_crash_fails_every_stream_and_the_frontend_stays_down(parts):
+    """``engine.step()`` raising mid-pump surfaces from ``serve`` — and
+    every open stream, dispatched or still queued, ends with that error,
+    so nobody holding a handle waits forever.  The engine was left
+    mid-step, so the front-end refuses to serve again."""
     spec, _, _ = parts
+    engine = make_engine(parts, VirtualClock())
+    frontend = AsyncServingEngine(engine, max_pending=1)
+    plain_step, handles = engine.step, []
 
-    def place(seed):
-        cluster = _cluster(parts, seed)
-        rng = np.random.default_rng(17)
-        placed = []
-        # Equal-length unique prompts, drained between submissions, so
-        # every routing decision is a clean three-way tie.
-        for i in range(8):
-            prompt = rng.integers(0, spec.vocab_size, size=10)
-            request = cluster.submit(prompt, max_new_tokens=2)
-            placed.append(request.replica)
-            while cluster.has_work:
-                cluster.step()
-        return placed
+    def step_then_boom():
+        engine.step = boom
+        return plain_step()
 
-    unseeded = place(None)
-    assert unseeded == [0] * 8  # lowest index wins every tie
-    seeded_a, seeded_b = place(123), place(123)
-    assert seeded_a == seeded_b  # deterministic under the seed
-    assert len(set(seeded_a)) > 1  # spread across tied replicas
+    def boom():
+        raise RuntimeError("boom in step")
+
+    engine.step = step_then_boom
+
+    async def client(seed):
+        prompt = np.random.default_rng(seed).integers(0, spec.vocab_size, 12)
+        handles.append(frontend.submit(prompt, max_new_tokens=8))
+        return await handles[-1].result()
+
+    async def bounded(awaitable):
+        # A hang is a failure of the test, not a timeout of the suite.
+        return await asyncio.wait_for(awaitable, timeout=30.0)
+
+    with pytest.raises(RuntimeError, match="boom in step"):
+        asyncio.run(bounded(frontend.serve(client(0), client(1), client(2))))
+    # max_pending=1 held the last one back in its tenant queue.
+    assert [h.request is None for h in handles] == [False, False, True]
+    for handle in handles:
+        assert handle.status == "failed" and handle.done
+        with pytest.raises(RuntimeError, match="boom in step"):
+            asyncio.run(bounded(handle.result()))
+    assert frontend.queue_depth == 0
+    with pytest.raises(RuntimeError, match="crashed earlier"):
+        frontend.drive()
+
+
+# ----------------------------------------------------------------------
+# Cluster satellite: tie-breaking.
+# ----------------------------------------------------------------------
+
+def test_cluster_tiebreak_lowest_index_wins(parts):
+    spec, _, _ = parts
+    cluster = ClusterRouter(
+        [
+            make_engine(parts, VirtualClock(), byte_budget=100_000)
+            for _ in range(3)
+        ]
+    )
+    rng = np.random.default_rng(17)
+    # Equal-length unique prompts, drained between submissions, so
+    # every routing decision is a clean three-way tie.
+    for _ in range(8):
+        prompt = rng.integers(0, spec.vocab_size, size=10)
+        assert cluster.submit(prompt, max_new_tokens=2).replica == 0
+        while cluster.has_work:
+            cluster.step()
