@@ -6,7 +6,7 @@ zero-overhead when disabled:
 * ``repro.obs.trace`` — :class:`TraceRecorder` records request
   lifecycle spans (submit -> queued -> admitted -> prefill chunks ->
   decode -> preempt/swap/shed/finish), engine step-phase spans
-  (admit / preempt / prefill / decode / evict) and instant events
+  (admit / prefill / preempt / decode) and instant events
   against the shared clock, in a bounded ring buffer.
   :class:`NullRecorder` is the allocation-free default.
 * ``repro.obs.registry`` — :class:`MetricsRegistry`: labeled counters,

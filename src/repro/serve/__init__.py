@@ -1,6 +1,6 @@
 """Serving layer: paged compressed-KV pool + continuous-batching engine.
 
-Turns the codec layers below into a multi-tenant serving system: Ecco's
+Turns the codec layers below into a serving system: Ecco's
 capacity win becomes admitted-requests-per-byte-budget, and its
 bandwidth win becomes modeled KV-read traffic per decode step.  On top
 of the single engine sit trace-driven workloads (``repro.serve.workload``
@@ -11,10 +11,10 @@ with aggregated metrics), multi-turn sessions (``repro.serve.session``
 — turn N+1 submits the whole conversation and the pool's prefix cache
 serves the shared history without re-encoding a token), and the
 event-driven front-end (``repro.serve.frontend`` — async token
-streaming to concurrent clients, per-tenant rate limits and weighted
-fairness, SLO-aware admission via pluggable scheduling policies from
-``repro.serve.scheduler``, and client retry/timeout modeling from
-``repro.serve.workload``).
+streaming to concurrent clients through one FIFO queue with
+backpressure and load shedding, SLO-aware admission via pluggable
+scheduling policies from ``repro.serve.scheduler``, and client
+retry/timeout modeling from ``repro.serve.workload``).
 """
 
 from .clock import StepCostModel, VirtualClock

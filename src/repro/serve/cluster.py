@@ -146,7 +146,6 @@ class ClusterRouter:
         eos_token: int | None = None,
         session_id: str | None = None,
         slo=None,
-        tenant: str | None = None,
     ) -> Request:
         """Place one request on a replica; returns the engine Request.
 
@@ -186,7 +185,6 @@ class ClusterRouter:
             eos_token=eos_token,
             session_id=session_id,
             slo=slo,
-            tenant=tenant,
         )
         # Only an accepted request updates IDs, routing state and stats.
         if auto:

@@ -106,7 +106,6 @@ class ServingEngine:
         prefill_chunk_tokens: int | None = None,
         step_token_budget: int | None = None,
         prefix_reuse: bool = True,
-        cache_ttl_s: float | None = None,
         step_cost: StepCostModel | None = None,
         record_reference: bool = False,
         clock: Callable[[], float] = wall_clock,
@@ -130,12 +129,9 @@ class ServingEngine:
         #: a traced run is bit-identical to an untraced one.
         self.obs = recorder if recorder is not None else NullRecorder()
         self.metrics = EngineMetrics()
-        #: ``cache_ttl_s`` ages idle prefix-cache pages out of the
-        #: budget (swept once per step) even under zero pressure.
         self.pool = PagedKVPool(
             byte_budget,
             page_tokens=page_tokens,
-            ttl_s=cache_ttl_s,
             clock=clock,
             recorder=self.obs,
             registry=self.metrics.registry,
@@ -223,7 +219,7 @@ class ServingEngine:
         #: no string formatting when tracing is disabled.
         self._phase_tracks = {
             name: f"{track}/{name}"
-            for name in ("evict", "admit", "prefill", "preempt", "decode")
+            for name in ("admit", "prefill", "preempt", "decode")
         }
         self.pool.track = f"{track}/pool"
 
@@ -266,7 +262,6 @@ class ServingEngine:
         eos_token: int | None = None,
         session_id: str | None = None,
         slo=None,
-        tenant: str | None = None,
     ) -> Request:
         """Queue one request; rejects requests that can never fit.
 
@@ -277,8 +272,7 @@ class ServingEngine:
         conversation (see ``repro.serve.session``) for report
         attribution and cluster session affinity.  ``slo`` attaches
         latency objectives (``repro.serve.slo.SLO``) the deadline-aware
-        policy schedules and sheds on; ``tenant`` tags the request for
-        the async front-end's per-tenant accounting.
+        policy schedules and sheds on.
         """
         request = Request(
             request_id="",
@@ -287,7 +281,6 @@ class ServingEngine:
             eos_token=eos_token,
             session_id=session_id,
             slo=slo,
-            tenant=tenant,
         )
         if request_id is not None and request_id in self._used_ids:
             raise ValueError(f"duplicate request_id {request_id!r}")
@@ -633,17 +626,13 @@ class ServingEngine:
         (prompt tokens ingested plus decode tokens generated).
 
         Each phase runs under its own trace span (``cat="phase"``), so a
-        recorded step renders as five rows — evict / admit / prefill /
-        preempt / decode — in the Chrome export.  The capacity pass that
+        recorded step renders as four rows — admit / prefill / preempt /
+        decode — in the Chrome export.  The capacity pass that
         used to open ``_decode`` runs as the explicit ``preempt`` phase,
         so preemption cost is visible separately from decode compute;
         the work order is unchanged.
         """
         obs, tracks = self.obs, self._phase_tracks
-        # Age stale prefix-cache pages out before admission sizes its
-        # headroom, so TTL-expired bytes never crowd out a new request.
-        with obs.span("evict", tracks["evict"], cat="phase"):
-            self.pool.expire_ttl()
         with obs.span("admit", tracks["admit"], cat="phase"):
             prefill_tokens = self._admit()
         with obs.span("prefill", tracks["prefill"], cat="phase"):

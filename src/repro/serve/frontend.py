@@ -6,16 +6,11 @@
 clients submit concurrently, receive their tokens as an **async
 iterator** while other requests keep decoding, and the engine's
 ``step()`` is pumped by one background loop.  Between the clients and
-the engine sits an admission layer the synchronous stack never had:
+the engine sits one FIFO queue the synchronous stack never had:
 
-* **per-tenant token-rate limits** — each tenant gets a token bucket
-  (``rate_tokens_per_s`` refilled in clock time, ``burst_tokens`` cap);
-  a submission costs ``prompt + max_new_tokens`` tokens and waits in
-  the tenant's front-end queue until the bucket covers it,
-* **weighted fairness** — queued tenants are served by stride
-  scheduling over their charged tokens (a tenant's share of admissions
-  is proportional to its ``weight`` no matter how hard it floods its
-  own queue),
+* **backpressure** — ``max_pending`` bounds how many dispatched
+  requests may wait in the engine's own queue; submissions past it
+  wait in the front-end queue and dispatch in submission order,
 * **load shedding** — ``max_queue_depth`` bounds the total front-end
   queue; arrivals past it are refused immediately with
   :class:`RequestShedError`, the same 429 family as the pool's
@@ -24,24 +19,24 @@ the engine sits an admission layer the synchronous stack never had:
   ``repro.serve.scheduler.DeadlinePolicy``) surface through their
   stream handle as the same error,
 * **backpressure metrics** — queue depth (peak and mean), shed/reject
-  counts, and per-tenant wait time, all in :meth:`report`.
+  and timeout counts in :meth:`report`, queue wait as the
+  ``frontend.queue_wait_s`` registry histogram.
 
 Time is the engine's clock.  The front-end requires an *advanceable*
 clock (:class:`~repro.serve.clock.VirtualClock`): the pump advances
 it by the :class:`~repro.serve.clock.StepCostModel` roofline per
 step (or lets a ``step_cost``-charging engine advance it itself), and
-jumps it across idle gaps to the next sleeper.  Client timeouts,
-backoffs and rate limits all run in the same simulated seconds, so an
-entire retry storm replays deterministically — and the engine
-underneath is untouched, so decoded KV stays bit-exact against the
-single-stream reference no matter how the front-end interleaves
-clients.
+jumps it across idle gaps to the next sleeper.  Client timeouts and
+backoffs run in the same simulated seconds, so an entire retry storm
+replays deterministically — and the engine underneath is untouched, so
+decoded KV stays bit-exact against the single-stream reference no
+matter how the front-end interleaves clients.
 
 Typical client::
 
     frontend = AsyncServingEngine(engine)
     async def client():
-        handle = frontend.submit(prompt, max_new_tokens=32, tenant="acme")
+        handle = frontend.submit(prompt, max_new_tokens=32)
         async for token in handle:
             ...                       # streamed as decode steps land
     frontend.drive(client())
@@ -52,8 +47,9 @@ from __future__ import annotations
 import asyncio
 import heapq
 import itertools
+import sys
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,68 +90,11 @@ class _Submission:
     eos_token: int | None
     session_id: str | None
     slo: object | None
-    tenant: str
     #: When the client handed the request to the front-end (clock s).
     enqueued_s: float
     #: The TTFT anchor: trace arrival for replayed traffic, else the
     #: enqueue time — either way, queue wait counts against TTFT.
     arrival_s: float
-
-    @property
-    def cost_tokens(self) -> int:
-        return int(self.prompt.size) + int(self.max_new_tokens)
-
-
-@dataclass
-class _TenantState:
-    """Rate/fairness/accounting state for one tenant."""
-
-    name: str
-    weight: float = 1.0
-    rate_tokens_per_s: float | None = None
-    burst_tokens: float | None = None
-    bucket: float = 0.0
-    refilled_s: float = 0.0
-    #: Stride-scheduling pass value: charged tokens / weight.  The
-    #: tenant with the smallest pass is served next, so long-run
-    #: admission shares converge to the weights.
-    pass_tokens: float = 0.0
-    queue: deque = field(default_factory=deque)
-    submitted: int = 0
-    accepted: int = 0
-    rejected: int = 0
-    shed: int = 0
-    tokens_charged: int = 0
-    wait_s_sum: float = 0.0
-    wait_s_max: float = 0.0
-
-    def refill(self, now: float) -> None:
-        if self.rate_tokens_per_s is None:
-            return
-        burst = self.burst_tokens
-        self.bucket = min(
-            burst, self.bucket + self.rate_tokens_per_s * (now - self.refilled_s)
-        )
-        self.refilled_s = now
-
-    def covers(self, cost: int) -> bool:
-        """Can the bucket pay for this submission now?  A request larger
-        than the whole burst still dispatches once the bucket is full —
-        the bucket then goes negative, which is exactly the debt that
-        throttles the tenant's *next* submissions."""
-        if self.rate_tokens_per_s is None:
-            return True
-        return self.bucket >= min(float(cost), self.burst_tokens)
-
-    def ready_s(self, cost: int) -> float:
-        """Clock time at which the bucket will cover ``cost``."""
-        need = min(float(cost), self.burst_tokens)
-        return self.refilled_s + (need - self.bucket) / self.rate_tokens_per_s
-
-    def charge(self, cost: int) -> None:
-        if self.rate_tokens_per_s is not None:
-            self.bucket -= float(cost)
-        self.tokens_charged += cost
 
 
 class StreamHandle:
@@ -165,10 +104,11 @@ class StreamHandle:
     iterator ends when the request finishes, and raises if the request
     was rejected (never fit the budget), shed (queue full or SLO blown
     at admission), timed out against the client's own deadline, or
-    failed with the pump (``engine.step()`` raised).
+    failed with the pump (``engine.step()`` raised, a client raised, or
+    ``serve`` was cancelled).
     ``request`` is the engine-side :class:`~repro.serve.request.Request`
     once the front-end has dispatched the submission (``None`` while it
-    still waits in a tenant queue).
+    still waits in the front-end queue).
     """
 
     def __init__(self, frontend: "AsyncServingEngine", sub: _Submission):
@@ -187,10 +127,6 @@ class StreamHandle:
         return self.status in (
             "finished", "rejected", "shed", "timeout", "failed"
         )
-
-    @property
-    def tenant(self) -> str:
-        return self._sub.tenant
 
     def anchor_arrival(self, arrival_s: float) -> None:
         """Re-anchor the TTFT clock (e.g. to a trace arrival time that
@@ -282,9 +218,8 @@ class AsyncServingEngine:
     refused (``ValueError``) rather than double-counted or dropped.
     ``max_pending`` bounds how many dispatched-but-unadmitted requests
     may sit in the engine's own queue before the front-end holds
-    further dispatches back (keeping fairness decisions at the
-    front-end); ``max_queue_depth`` bounds the *front-end* queue and
-    sheds arrivals past it.
+    further dispatches back, in submission order; ``max_queue_depth``
+    bounds the *front-end* queue and sheds arrivals past it.
     """
 
     def __init__(
@@ -324,16 +259,14 @@ class AsyncServingEngine:
         self.max_pending = max_pending
         self.max_queue_depth = max_queue_depth
         self.max_steps = int(max_steps)
-        self._tenants: dict[str, _TenantState] = {}
+        #: Submissions not yet dispatched, in submission order.
+        self._queue: deque[StreamHandle] = deque()
         self._live: list[StreamHandle] = []
         self._seq = itertools.count()
         #: Sleepers: (wake_s, seq, event).
         self._timers: list[tuple[float, int, asyncio.Event]] = []
         #: Client-side request deadlines: (deadline_s, seq, handle).
         self._timeouts: list[tuple[float, int, StreamHandle]] = []
-        #: Times at which a rate-starved tenant's bucket will cover its
-        #: queue head — pump wake-ups with no event attached.
-        self._service_times: list[float] = []
         self._wake = asyncio.Event()
         self._stopping = False
         #: What killed the pump, if anything did (see :meth:`_run_pump`).
@@ -365,55 +298,10 @@ class AsyncServingEngine:
         self.registry.attach("frontend.", self.metrics)
         self._last_depth = None
 
-    # ------------------------------------------------------------------
-    # Tenants.
-    # ------------------------------------------------------------------
-    def add_tenant(
-        self,
-        name: str,
-        *,
-        weight: float = 1.0,
-        rate_tokens_per_s: float | None = None,
-        burst_tokens: float | None = None,
-    ) -> None:
-        """Register a tenant with a fairness weight and an optional
-        token-rate limit.  Unknown tenants named at submit time are
-        auto-registered with weight 1 and no rate limit."""
-        if weight <= 0:
-            raise ValueError("weight must be positive")
-        if rate_tokens_per_s is not None and rate_tokens_per_s <= 0:
-            raise ValueError("rate_tokens_per_s must be positive")
-        if name in self._tenants:
-            raise ValueError(f"duplicate tenant {name!r}")
-        state = _TenantState(
-            name=name, weight=float(weight), rate_tokens_per_s=rate_tokens_per_s
-        )
-        if rate_tokens_per_s is not None:
-            state.burst_tokens = float(
-                burst_tokens
-                if burst_tokens is not None
-                else rate_tokens_per_s
-            )
-            state.bucket = state.burst_tokens  # start full
-        state.refilled_s = self.clock()
-        # A late joiner starts at the current stride frontier, not at
-        # zero — otherwise it would monopolize admissions to "catch up".
-        if self._tenants:
-            state.pass_tokens = min(
-                t.pass_tokens for t in self._tenants.values()
-            )
-        self._tenants[name] = state
-
-    def _tenant(self, name: str | None) -> _TenantState:
-        name = name if name is not None else "default"
-        if name not in self._tenants:
-            self.add_tenant(name)
-        return self._tenants[name]
-
     @property
     def queue_depth(self) -> int:
-        """Requests waiting in front-end tenant queues right now."""
-        return sum(len(t.queue) for t in self._tenants.values())
+        """Requests waiting in the front-end queue right now."""
+        return len(self._queue)
 
     def _engine_pending(self) -> int:
         """Requests sitting in the engine's own waiting queues."""
@@ -440,7 +328,6 @@ class AsyncServingEngine:
         eos_token: int | None = None,
         session_id: str | None = None,
         slo=None,
-        tenant: str | None = None,
         arrival_s: float | None = None,
     ) -> StreamHandle:
         """Queue one request and return its stream handle.
@@ -448,33 +335,20 @@ class AsyncServingEngine:
         Raises :class:`RequestShedError` if the front-end queue is full
         (429 at the front door) and :class:`BudgetExceededError` if the
         request can never fit the pool budget and was dispatched
-        eagerly.  A rate-limited or fairness-queued submission is
+        eagerly.  A submission held back by ``max_pending`` is
         dispatched later by the pump; a dispatch-time rejection then
         surfaces through the handle instead.
         """
         now = self.clock()
-        state = self._tenant(tenant)
         self.metrics["arrivals"] += 1
-        self.registry.inc("frontend.arrivals", tenant=state.name)
-        self.obs.instant(
-            "arrival", "frontend", cat="frontend", tenant=state.name
-        )
-        state.submitted += 1
+        self.obs.instant("arrival", "frontend", cat="frontend")
         if (
             self.max_queue_depth is not None
             and self.queue_depth >= self.max_queue_depth
         ):
-            state.shed += 1
             self.metrics["shed_queue_full"] += 1
-            self.registry.inc(
-                "frontend.shed", tenant=state.name, reason="queue_full"
-            )
             self.obs.instant(
-                "shed",
-                "frontend",
-                cat="frontend",
-                reason="queue_full",
-                tenant=state.name,
+                "shed", "frontend", cat="frontend", reason="queue_full"
             )
             raise RequestShedError(
                 f"front-end queue full ({self.queue_depth} >= "
@@ -487,34 +361,26 @@ class AsyncServingEngine:
             eos_token=eos_token,
             session_id=session_id,
             slo=slo,
-            tenant=state.name,
             enqueued_s=now,
             arrival_s=float(arrival_s) if arrival_s is not None else now,
         )
         handle = StreamHandle(self, sub)
-        # Eager dispatch: nothing queued ahead for this tenant, the
-        # bucket covers it, and the engine has admission room — the
-        # request goes straight through, and a budget rejection raises
-        # here, synchronously, like a direct engine submit would.
-        state.refill(now)
-        if (
-            not state.queue
-            and state.covers(sub.cost_tokens)
-            and self._has_capacity()
-        ):
-            self._dispatch_one(state, handle, now)
+        # Eager dispatch: nothing queued ahead and the engine has
+        # admission room — the request goes straight through, and a
+        # budget rejection raises here, synchronously, like a direct
+        # engine submit would.
+        if not self._queue and self._has_capacity():
+            self._dispatch_one(handle, now)
             if handle.error is not None:
                 raise handle.error
             return handle
-        state.queue.append(handle)
+        self._queue.append(handle)
         self._wake.set()
         return handle
 
-    def _dispatch_one(
-        self, state: _TenantState, handle: StreamHandle, now: float
-    ) -> None:
+    def _dispatch_one(self, handle: StreamHandle, now: float) -> None:
         """Hand one submission to the engine; resolve the handle on
-        rejection.  The caller has already checked rate and capacity."""
+        rejection.  The caller has already checked capacity."""
         sub = handle._sub
         try:
             request = self.target.submit(
@@ -524,62 +390,29 @@ class AsyncServingEngine:
                 eos_token=sub.eos_token,
                 session_id=sub.session_id,
                 slo=sub.slo,
-                tenant=sub.tenant,
             )
         except BudgetExceededError as error:
-            state.rejected += 1
             self.metrics["rejected_429"] += 1
-            self.registry.inc("frontend.rejected", tenant=state.name)
-            self.obs.instant(
-                "reject", "frontend", cat="frontend", tenant=state.name
-            )
+            self.obs.instant("reject", "frontend", cat="frontend")
             handle._fail(error, "rejected")
             return
         request.metrics.arrival_s = sub.arrival_s
-        state.charge(sub.cost_tokens)
-        state.pass_tokens += sub.cost_tokens / state.weight
-        state.accepted += 1
         self.metrics["accepted"] += 1
-        self.registry.inc("frontend.accepted", tenant=state.name)
-        wait = now - sub.enqueued_s
-        state.wait_s_sum += wait
-        state.wait_s_max = max(state.wait_s_max, wait)
-        self.registry.observe("frontend.queue_wait_s", wait)
-        self.registry.observe(
-            "frontend.queue_wait_s", wait, tenant=state.name
-        )
+        self.registry.observe("frontend.queue_wait_s", now - sub.enqueued_s)
         self.obs.instant(
             "dispatch",
             "frontend",
             cat="frontend",
-            tenant=state.name,
             request_id=request.request_id,
         )
         handle._attach(request)
         self._live.append(handle)
 
     def _dispatch(self, now: float) -> None:
-        """Drain tenant queues into the engine: stride-fair across
-        tenants, each gated by its own token bucket and the engine's
-        pending capacity."""
-        while self._has_capacity():
-            candidates = []
-            for name in sorted(self._tenants):
-                state = self._tenants[name]
-                if not state.queue:
-                    continue
-                state.refill(now)
-                cost = state.queue[0]._sub.cost_tokens
-                if not state.covers(cost):
-                    # Starved: wake the pump when the bucket refills.
-                    heapq.heappush(self._service_times, state.ready_s(cost))
-                    continue
-                candidates.append(state)
-            if not candidates:
-                return
-            state = min(candidates, key=lambda t: (t.pass_tokens, t.name))
-            handle = state.queue.popleft()
-            self._dispatch_one(state, handle, now)
+        """Drain the front-end queue into the engine, in submission
+        order, while the engine has pending capacity."""
+        while self._queue and self._has_capacity():
+            self._dispatch_one(self._queue.popleft(), now)
 
     # ------------------------------------------------------------------
     # Virtual-time primitives for clients.
@@ -617,25 +450,18 @@ class AsyncServingEngine:
             _, _, handle = heapq.heappop(self._timeouts)
             if not handle.done:
                 self.metrics["timeouts"] += 1
-                self.registry.inc("frontend.timeouts", tenant=handle.tenant)
-                self.obs.instant(
-                    "timeout", "frontend", cat="frontend", tenant=handle.tenant
-                )
+                self.obs.instant("timeout", "frontend", cat="frontend")
                 handle._fail(
                     RequestTimeoutError(
                         "client deadline expired before the request finished"
                     ),
                     "timeout",
                 )
-        while self._service_times and self._service_times[0] <= now:
-            heapq.heappop(self._service_times)
 
     def _next_event_s(self) -> float | None:
         times = []
         if self._timers:
             times.append(self._timers[0][0])
-        if self._service_times:
-            times.append(self._service_times[0])
         while self._timeouts and self._timeouts[0][2].done:
             heapq.heappop(self._timeouts)  # stale: request already over
         if self._timeouts:
@@ -648,10 +474,6 @@ class AsyncServingEngine:
             if handle._publish():
                 if handle.status == "shed":
                     self.metrics["shed_slo"] += 1
-                    self.registry.inc(
-                        "frontend.shed", tenant=handle.tenant, reason="slo"
-                    )
-                    self._tenants[handle.tenant].shed += 1
             else:
                 still_live.append(handle)
         self._live = still_live
@@ -708,9 +530,9 @@ class AsyncServingEngine:
                     self.clock.jump_to(next_s)
                 continue
             if self.queue_depth:
-                # Queued but undispatchable with an idle engine can only
-                # mean a rate-starved tenant; its service time is in the
-                # heap, so this is unreachable — guard loudly anyway.
+                # Queued but undispatchable with an idle engine: no known
+                # cause remains (an idle engine has pending capacity),
+                # but a hang must still surface as an error.
                 raise RuntimeError("front-end queue stuck with no wake-up")
             if self._stopping:
                 return
@@ -723,21 +545,23 @@ class AsyncServingEngine:
     # ------------------------------------------------------------------
     # Drivers.
     # ------------------------------------------------------------------
+    def _fail_open(self, error: Exception) -> None:
+        """No token will ever be published to the open streams again:
+        fail every one — dispatched or still queued — with ``error``
+        instead of leaving whoever iterates it waiting forever."""
+        for handle in self._live + list(self._queue):
+            handle._fail(error, "failed")
+        self._live = []
+        self._queue.clear()
+
     async def _run_pump(self) -> None:
-        """:meth:`_pump`, and the one duty of a pump that dies: no token
-        will ever be published again, so every open stream — dispatched
-        or still queued — fails with the pump's exception instead of
-        leaving whoever iterates it waiting forever."""
+        """:meth:`_pump`; a pump that dies fails every open stream with
+        its exception."""
         try:
             await self._pump()
         except Exception as error:
             self._crashed = error
-            queued = [h for t in self._tenants.values() for h in t.queue]
-            for handle in self._live + queued:
-                handle._fail(error, "failed")
-            self._live = []
-            for tenant in self._tenants.values():
-                tenant.queue.clear()
+            self._fail_open(error)
             raise
 
     async def serve(self, *clients):
@@ -746,10 +570,13 @@ class AsyncServingEngine:
 
         The pump runs until every client has returned and the engine has
         no work left, so fire-and-forget submissions still complete.  A
-        client exception cancels the run and propagates.  So does an
-        exception out of ``target.step()``, after failing every open
-        stream with it; the target was left mid-step, so this front-end
-        then refuses to serve again.
+        client exception (or cancelling ``serve`` itself) stops the pump
+        and propagates, after failing every open stream with a
+        ``RuntimeError`` chained from it; the pump stops at an await,
+        i.e. between steps, so this front-end may serve again.  An
+        exception out of ``target.step()`` also propagates, after
+        failing every open stream with it; the target was left
+        mid-step, so this front-end then refuses to serve again.
         """
         if self._crashed is not None:
             raise RuntimeError(
@@ -757,27 +584,36 @@ class AsyncServingEngine:
                 "mid-step; build a new engine and front-end"
             ) from self._crashed
         self._stopping = False
+        # An asyncio.Event binds to the first loop that waits on it, and
+        # every drive() runs on a new loop.
+        self._wake = asyncio.Event()
         pump = asyncio.ensure_future(self._run_pump())
         work = asyncio.ensure_future(asyncio.gather(*clients))
-        await asyncio.wait({pump, work}, return_when=asyncio.FIRST_COMPLETED)
-        if pump.done() and not work.done():
-            # The pump never returns while clients are pending unless it
-            # crashed: surface that error, not a hang.
-            work.cancel()
-            try:
-                await work
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
-            await pump  # raises
-            raise RuntimeError("front-end pump exited while clients waited")
         try:
+            await asyncio.wait(
+                {pump, work}, return_when=asyncio.FIRST_COMPLETED
+            )
+            if pump.done() and not work.done():
+                # The pump never returns while clients are pending unless
+                # it crashed: surface that error, not a hang.
+                await pump  # raises
+                raise RuntimeError(
+                    "front-end pump exited while clients waited"
+                )
             results = await work
         except BaseException:
-            pump.cancel()
-            try:
-                await pump
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
+            cause = sys.exc_info()[1]
+            for task in (pump, work):
+                task.cancel()
+                try:
+                    await task
+                except (asyncio.CancelledError, Exception):  # noqa: BLE001
+                    pass
+            stopped = RuntimeError(
+                "front-end stopped before this request finished"
+            )
+            stopped.__cause__ = cause
+            self._fail_open(stopped)
             raise
         self._stopping = True
         self._wake.set()
@@ -793,7 +629,7 @@ class AsyncServingEngine:
     # ------------------------------------------------------------------
     def report(self) -> dict:
         """Front-end metrics: admission counts, shed/reject/timeout
-        totals, queue depth, and per-tenant rate/fairness accounting.
+        totals and queue depth.
 
         Read from this front-end's own ``metrics`` dict, which the
         registry publishes as ``frontend.*``.
@@ -816,20 +652,4 @@ class AsyncServingEngine:
             "queue_depth_mean": (
                 m["queue_depth_sum"] / samples if samples else 0.0
             ),
-            "tenants": {
-                name: {
-                    "weight": t.weight,
-                    "rate_tokens_per_s": t.rate_tokens_per_s,
-                    "submitted": t.submitted,
-                    "accepted": t.accepted,
-                    "rejected": t.rejected,
-                    "shed": t.shed,
-                    "tokens_charged": t.tokens_charged,
-                    "wait_s_mean": (
-                        t.wait_s_sum / t.accepted if t.accepted else 0.0
-                    ),
-                    "wait_s_max": t.wait_s_max,
-                }
-                for name, t in sorted(self._tenants.items())
-            },
         }

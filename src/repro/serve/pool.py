@@ -35,8 +35,8 @@ Pages whose last reference disappears are not freed eagerly: they stay
 resident as an evictable LRU prefix cache, so a request arriving after
 every earlier tenant finished still shares the common prompt's pages.
 Cached pages are reclaimed lazily whenever new allocations need the
-room, and — when ``ttl_s`` is set — by an age sweep, so stale history
-leaves the budget even under low pressure.
+room, and — when ``ttl_s`` is set — by an age sweep (:meth:`expire_ttl`),
+so stale history leaves the budget before any valuable page does.
 
 Eviction is *chain-aware* and *cost-aware*: a cached page is only
 useful if every ancestor on its chain is still resident, so reclaiming
@@ -373,8 +373,8 @@ class PagedKVPool:
     def expire_ttl(self) -> int:
         """Evict cache leaves idle past ``ttl_s``; returns pages evicted.
 
-        Stale history ages out even under zero allocation pressure (the
-        engine sweeps once per step).  Only leaves are taken, so a chain
+        Allocations that do not fit call it first; call it directly to
+        age stale history out under zero pressure.  Only leaves are taken, so a chain
         expires tail-first and no surviving cached page is ever
         orphaned; a parent whose last child expired becomes a leaf
         itself and is re-checked until nothing expired remains.

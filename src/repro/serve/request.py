@@ -91,9 +91,6 @@ class Request:
     #: Latency objectives (``repro.serve.slo.SLO``); read by the
     #: deadline-aware scheduling policy, ignored by FCFS.
     slo: object | None = None
-    #: Tenant this request bills to — the front-end's rate limits and
-    #: fairness act on it; the engine carries it for attribution only.
-    tenant: str | None = None
 
     def __post_init__(self) -> None:
         self.prompt = np.asarray(self.prompt, dtype=np.int64).reshape(-1)

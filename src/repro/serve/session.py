@@ -55,13 +55,11 @@ class Session:
         session_id: str,
         eos_token: int | None = None,
         slo=None,
-        tenant: str | None = None,
     ):
         self.target = target
         self.session_id = str(session_id)
         self.eos_token = eos_token
         self.slo = slo
-        self.tenant = tenant
         #: The conversation so far: every turn's prompt delta + reply.
         self.history = np.zeros(0, dtype=np.int64)
         #: What ``submit`` returned for each turn, in order (Request or
@@ -71,7 +69,7 @@ class Session:
     @staticmethod
     def _request_of(item) -> Request | None:
         """The engine-side request behind one submission (``None`` while
-        a front-end handle still waits in a tenant queue)."""
+        a front-end handle still waits in the front-end queue)."""
         if isinstance(item, Request):
             return item
         return item.request
@@ -141,7 +139,6 @@ class Session:
             eos_token=self.eos_token,
             session_id=self.session_id,
             slo=self.slo,
-            tenant=self.tenant,
         )
         self._submissions.append(item)
         return item

@@ -126,11 +126,9 @@ class TraceRequest:
     prompt: np.ndarray
     max_new_tokens: int
     scenario: str = "chat"
-    #: Optional serving annotations: the tenant the request bills to and
-    #: its latency objectives (``repro.serve.slo.SLO``).  ``None`` means
-    #: default tenant / no deadline; the generators leave them unset and
-    #: benchmarks decorate the trace afterwards.
-    tenant: str | None = None
+    #: Optional latency objectives (``repro.serve.slo.SLO``).  ``None``
+    #: means no deadline; the generators leave it unset and benchmarks
+    #: decorate the trace afterwards.
     slo: object | None = None
 
 
@@ -466,7 +464,6 @@ def replay_trace(
                 item.prompt,
                 item.max_new_tokens,
                 slo=item.slo,
-                tenant=item.tenant,
                 arrival_s=item.arrival_s,
             )
         except RequestShedError:
@@ -586,7 +583,6 @@ def replay_open_loop(
                     item.prompt,
                     item.max_new_tokens,
                     slo=item.slo,
-                    tenant=item.tenant,
                 )
                 await handle.result(timeout_s=retry.timeout_s)
                 counts["completed"] += 1

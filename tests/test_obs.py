@@ -41,7 +41,7 @@ from repro.serve import (
 )
 from repro.serve.metrics import ENGINE_COUNTERS
 
-ENGINE_PHASES = {"evict", "admit", "prefill", "preempt", "decode"}
+ENGINE_PHASES = {"admit", "prefill", "preempt", "decode"}
 
 #: The report surface of the ``pressured_run`` fixture (plus a front-end
 #: built on its engine): sorted key lists, generated at the commit
@@ -74,7 +74,7 @@ swap_in_bytes swap_out_bytes swapped_pages ttl_s
 """.split()
 FRONTEND_REPORT_KEYS = """
 accepted arrivals queue_depth_mean queue_depth_peak rejected_429
-shed_queue_full shed_rate shed_slo steps tenants timeouts tokens_processed
+shed_queue_full shed_rate shed_slo steps timeouts tokens_processed
 """.split()
 REGISTRY_COUNTER_KEYS = """
 engine.chunked_prefill_tokens engine.decode_steps engine.decode_tokens

@@ -12,8 +12,7 @@ minimum ``(1 + hits) * nbytes``, ties least-recently-used; (6) the
 incremental leaf index never disagrees with a ground-truth recompute;
 (7) the engine's warm partial attach generates exactly the tokens a
 cold run would; (8) probes record nothing; (9) the trie refuses a second
-page for a resident chain; (10) the engine's ``cache_ttl_s`` ages an idle
-cached chain out in the evict phase.
+page for a resident chain.
 """
 
 import numpy as np
@@ -25,8 +24,6 @@ from repro.serve import (
     PagedKVPool,
     PrefixTrie,
     ServingEngine,
-    StepCostModel,
-    VirtualClock,
     chain_hash,
     common_prefix_len,
 )
@@ -424,27 +421,3 @@ def test_trie_refuses_a_second_page_for_a_resident_chain():
         trie.insert(KVPage(page_id=1, chain="c", token_ids=(1, 2)))
     assert trie.get("c") is first and len(trie) == 1
 
-
-def test_engine_cache_ttl_ages_out_an_idle_chain(parts):
-    spec, model, calib = parts
-    clock = VirtualClock()
-    engine = ServingEngine(
-        model,
-        calib,
-        byte_budget=2_000_000,
-        page_tokens=8,
-        cache_ttl_s=5.0,
-        step_cost=StepCostModel(),
-        clock=clock,
-    )
-    rng = np.random.default_rng(43)
-    engine.submit(rng.integers(0, spec.vocab_size, size=24), 2)
-    engine.run()
-    pool = engine.pool
-    assert pool.num_cached_pages >= 3   # the finished prompt's chain
-    clock.advance(10.0)                 # idle past the TTL
-    engine.step()                       # the evict phase sweeps it
-    assert pool.num_cached_pages == 0
-    assert pool.stats["evictions_ttl"] >= 3
-    assert pool.stats["evictions_pressure"] == 0
-    _check_invariants(pool)

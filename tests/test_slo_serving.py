@@ -3,9 +3,10 @@
 Covers the async streaming front-end (token streams, virtual-time
 determinism, bit-exactness vs the synchronous engine), SLO-aware
 admission (the deadline policy must beat FCFS on tail TTFT under a
-bursty trace by shedding already-late work), per-tenant rate limits and
-weighted fairness, client retry/timeout modeling (a retry storm must
-converge with a bounded shed rate and zero budget overruns), and the
+bursty trace by shedding already-late work), client retry/timeout
+modeling (a retry storm must converge with a bounded shed rate and zero
+budget overruns), the pump under failure (a crashing step or a raising
+client fails every open stream instead of hanging it), and the
 satellite guards: clock monotonicity, idempotent step charging, seeded
 cluster tie-breaking, empty-batch routing, and percentile reporting.
 """
@@ -177,7 +178,9 @@ def test_async_streaming_is_bit_exact_vs_sync_engine(parts):
     """The front-end only reorders *waiting*: the same submissions in
     the same order must generate identical tokens through the async
     path, stream them in generation order, and leave decoded KV
-    bit-exact against a single-stream reference."""
+    bit-exact against a single-stream reference.  ``max_pending=1``
+    holds submissions back in the front-end queue, which hands them to
+    the engine in submission order."""
     spec, _, _ = parts
     rng = np.random.default_rng(3)
     prompts = [
@@ -193,7 +196,7 @@ def test_async_streaming_is_bit_exact_vs_sync_engine(parts):
 
     clock = VirtualClock()
     engine = make_engine(parts, clock, record_reference=True)
-    frontend = AsyncServingEngine(engine)
+    frontend = AsyncServingEngine(engine, max_pending=1)
     streamed: dict[str, list[int]] = {}
 
     async def client(i, prompt):
@@ -205,6 +208,9 @@ def test_async_streaming_is_bit_exact_vs_sync_engine(parts):
 
     frontend.drive(*(client(i, p) for i, p in enumerate(prompts)))
 
+    dispatched = [r.request_id for r in engine.requests]
+    assert dispatched == [f"r{i}" for i in range(len(prompts))]
+    assert frontend.report()["queue_depth_peak"] == len(prompts) - 1
     requests = {r.request_id: r for r in engine.requests}
     for i, sync_request in enumerate(sync_requests):
         request = requests[f"r{i}"]
@@ -322,79 +328,6 @@ def test_deadline_policy_cuts_p95_ttft_on_bursty_trace(parts):
 
 
 # ----------------------------------------------------------------------
-# Tenant rate limits and weighted fairness.
-# ----------------------------------------------------------------------
-
-def test_aggressive_tenant_cannot_starve_polite_tenant(parts):
-    """Both tenants flood at t=0 with equal weights; stride fairness
-    must interleave admissions, so the polite tenant's queue wait stays
-    comparable to the aggressive one's share — not behind its whole
-    backlog."""
-    spec, _, _ = parts
-    rng = np.random.default_rng(7)
-    clock = VirtualClock()
-    engine = make_engine(parts, clock, byte_budget=200_000)
-    frontend = AsyncServingEngine(engine, max_pending=1)
-    frontend.add_tenant("aggressive", weight=1.0)
-    frontend.add_tenant("polite", weight=1.0)
-
-    async def flood(tenant, count):
-        handles = []
-        for _ in range(count):
-            handles.append(
-                frontend.submit(
-                    rng.integers(0, spec.vocab_size, size=10),
-                    max_new_tokens=4,
-                    tenant=tenant,
-                )
-            )
-        for handle in handles:
-            await handle.result()
-
-    frontend.drive(flood("aggressive", 12), flood("polite", 4))
-    tenants = frontend.report()["tenants"]
-    assert tenants["aggressive"]["accepted"] == 12
-    assert tenants["polite"]["accepted"] == 4
-    # The polite tenant waits for its fair-share slice, not the whole
-    # aggressive backlog: its worst wait must come in clearly under the
-    # aggressive tenant's (which queues behind its own flood).
-    assert (
-        tenants["polite"]["wait_s_max"]
-        < 0.67 * tenants["aggressive"]["wait_s_max"]
-    )
-
-
-def test_tenant_token_rate_limit_throttles_only_that_tenant(parts):
-    spec, _, _ = parts
-    rng = np.random.default_rng(8)
-    clock = VirtualClock()
-    engine = make_engine(parts, clock, byte_budget=200_000)
-    frontend = AsyncServingEngine(engine)
-    frontend.add_tenant("limited", rate_tokens_per_s=40.0, burst_tokens=40.0)
-    frontend.add_tenant("free")
-
-    async def burst(tenant, count):
-        handles = [
-            frontend.submit(
-                rng.integers(0, spec.vocab_size, size=12),
-                max_new_tokens=4,
-                tenant=tenant,
-            )
-            for _ in range(count)
-        ]
-        for handle in handles:
-            await handle.result()
-
-    frontend.drive(burst("limited", 4), burst("free", 4))
-    tenants = frontend.report()["tenants"]
-    # Each limited request costs 16 tokens against a 40-token bucket at
-    # 40 tok/s: the burst must spread out over rate refills.
-    assert tenants["limited"]["wait_s_max"] > 0.1
-    assert tenants["free"]["wait_s_max"] == 0.0
-    assert tenants["limited"]["accepted"] == 4  # throttled, not dropped
-
-
-# ----------------------------------------------------------------------
 # Retry storms.
 # ----------------------------------------------------------------------
 
@@ -492,7 +425,7 @@ def test_pump_crash_fails_every_stream_and_the_frontend_stays_down(parts):
 
     with pytest.raises(RuntimeError, match="boom in step"):
         asyncio.run(bounded(frontend.serve(client(0), client(1), client(2))))
-    # max_pending=1 held the last one back in its tenant queue.
+    # max_pending=1 held the last one back in the front-end queue.
     assert [h.request is None for h in handles] == [False, False, True]
     for handle in handles:
         assert handle.status == "failed" and handle.done
@@ -501,6 +434,62 @@ def test_pump_crash_fails_every_stream_and_the_frontend_stays_down(parts):
     assert frontend.queue_depth == 0
     with pytest.raises(RuntimeError, match="crashed earlier"):
         frontend.drive()
+
+
+@pytest.mark.parametrize("how", ["client_raises", "serve_cancelled"])
+def test_stopped_serve_fails_every_stream_and_the_frontend_serves_again(
+    parts, how
+):
+    """A client that raises stops ``serve``, and so does cancelling
+    ``serve`` itself: either way the pump is cancelled and every open
+    stream, dispatched or still queued, ends with a ``RuntimeError``
+    chained from the cause instead of hanging.  Cancellation lands at an
+    await, i.e. between steps, so the same front-end serves again."""
+    spec, _, _ = parts
+    engine = make_engine(parts, VirtualClock())
+    frontend = AsyncServingEngine(engine, max_pending=1)
+    handles, serving = [], []
+    cause = ValueError if how == "client_raises" else asyncio.CancelledError
+
+    def submit(seed):
+        prompt = np.random.default_rng(seed).integers(0, spec.vocab_size, 12)
+        handles.append(frontend.submit(prompt, max_new_tokens=8))
+        return handles[-1]
+
+    async def gives_up():
+        async for _token in submit(0):
+            if how == "client_raises":
+                raise ValueError("client gave up")
+            serving[0].cancel()
+            await asyncio.Event().wait()  # cancelled with the run
+
+    async def reader(seed):
+        return await submit(seed).result()
+
+    async def bounded(awaitable):
+        # A hang is a failure of the test, not a timeout of the suite.
+        return await asyncio.wait_for(awaitable, timeout=30.0)
+
+    async def serve_until_stopped():
+        clients = (gives_up(), reader(1), reader(2))
+        serving.append(asyncio.ensure_future(frontend.serve(*clients)))
+        return await serving[0]
+
+    with pytest.raises(cause):
+        asyncio.run(bounded(serve_until_stopped()))
+    # max_pending=1 held the last one back in the front-end queue.
+    assert handles[0].request is not None and handles[2].request is None
+    for handle in handles:
+        assert handle.status == "failed" and handle.done
+        assert isinstance(handle.error.__cause__, cause)
+        with pytest.raises(RuntimeError, match="front-end stopped"):
+            asyncio.run(bounded(handle.result()))
+    assert frontend.queue_depth == 0
+
+    for seed in (3, 4):  # every drive runs on a new event loop
+        (tokens,) = frontend.drive(reader(seed))
+        assert len(tokens) == 8 and handles[-1].status == "finished"
+    assert not engine.has_work  # the abandoned requests drained too
 
 
 # ----------------------------------------------------------------------
