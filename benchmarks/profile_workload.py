@@ -2,12 +2,16 @@
 
 The harness runs every workload in a child process, so ``cProfile`` on
 ``run.py`` sees nothing.  ``profile_workload.py <workload> [...]`` borrows
-the named workload's own set-up and pass from ``benchmarks/harness`` at
-smoke size, profiles the passes of one round and writes the top 20
-functions by self time to ``results/<workload>_profile.txt`` (CI uploads
-``kv_stream``, ``pool_churn``, ``serve_fp16`` and ``serve_cold`` — the
-step-batched codec path, where the next decision about the codec's
-per-call floor starts — with the bench reports).
+the named workload's own set-up and pass from ``benchmarks/harness``,
+profiles the passes of one round and writes the top 20 functions by self
+time to ``results/<workload>_profile.txt`` (CI uploads ``kv_stream``,
+``pool_churn``, ``serve_fp16`` and ``serve_cold`` — the step-batched
+codec path, where the next decision about the codec's per-call floor
+starts — with the bench reports).  Workloads run at smoke size, except
+those in ``FULL_SIZE``: cheap enough to profile at the size the harness
+measures (``pool_churn``, about 6 s under cProfile), where a cost that
+grows with the pool shows at its real share — a smoke round caches 30
+chains, a full one 623.
 """
 
 import argparse
@@ -22,10 +26,14 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "harness")]
 
 from workloads import WORKLOADS  # noqa: E402
 
+#: Workloads profiled at full size instead of smoke size.
+FULL_SIZE = frozenset({"pool_churn"})
+
 
 def profile(name: str) -> None:
     workload = WORKLOADS[name]
-    state = workload.setup(0, 0, smoke=True)
+    smoke = name not in FULL_SIZE
+    state = workload.setup(0, 0, smoke=smoke)
     profiler = cProfile.Profile()
     results = [
         profiler.runcall(workload.run_pass, state)
@@ -34,7 +42,8 @@ def profile(name: str) -> None:
     table = io.StringIO()
     pstats.Stats(profiler, stream=table).sort_stats("tottime").print_stats(20)
     report = (
-        f"{name} smoke round under cProfile: {len(results)} pass(es), "
+        f"{name} {'smoke' if smoke else 'full'} round under cProfile: "
+        f"{len(results)} pass(es), "
         f"{sum(r.units for r in results)} units, "
         f"{sum(r.wall_s for r in results):.3f} s, "
         f"problems: {[p for r in results for p in r.problems]}\n"

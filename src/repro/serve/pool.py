@@ -49,6 +49,13 @@ minimum ``(1 + hits) * nbytes`` (compressed bytes weighted by how often
 the page has actually been shared), ties broken least-recently-used.
 TTL expiry runs before cost ranking: a page idle past ``ttl_s`` goes
 first regardless of how valuable it once was.
+
+The leaf index is ranked by two lazy min-heaps: a cost heap for
+pressure eviction and, only when ``ttl_s`` is set, an age heap keyed by
+``(last_used, leaf-index order)``.  The TTL sweep pops just the due
+leaves — oldest first, ties in leaf-index order — so when nothing is
+due it costs one comparison, not a pass over the cache.  Both heaps are
+rebuilt from their live entries once they outgrow ``2 * leaves + 64``.
 """
 
 from __future__ import annotations
@@ -94,6 +101,12 @@ def _hist_bucket(tokens: int) -> str:
     return f"{lo}-{2 * lo - 1}"
 
 
+def _rebuild(heap: list, live: Callable[[tuple], KVPage | None]) -> None:
+    """Drop the entries ``live`` rejects from a lazy heap, in place."""
+    heap[:] = [entry for entry in heap if live(entry) is not None]
+    heapq.heapify(heap)
+
+
 @dataclass
 class KVPage:
     """One page: every layer's K/V segments for ``token_ids``."""
@@ -123,6 +136,9 @@ class KVPage:
     last_used: float = 0.0
     #: Pool-clock timestamp of the last demotion into the prefix cache.
     cached_at: float = 0.0
+    #: The pool's sequence number for this page's current entry in its
+    #: leaf index (insertion order; TTL ties evict in this order).
+    leaf_seq: int = 0
 
     def __post_init__(self) -> None:
         #: The token ids as an int64 array, for vectorized trie compares.
@@ -185,6 +201,10 @@ class PagedKVPool:
         #: page_id).  Entries go stale when a page leaves the leaf set;
         #: they are skipped at pop time.
         self._victim_heap: list[tuple[float, float, int, int]] = []
+        #: Lazy min-heap over leaf pages by age: (last_used, seq,
+        #: page_id), pushed only when ``ttl_s`` is set.  An entry is live
+        #: while its seq is the page's ``leaf_seq``.
+        self._age_heap: list[tuple[float, int, int]] = []
         self._heap_seq = 0
         self._next_id = 0
         #: Actual bytes resident (pages + private tail reservations).
@@ -270,10 +290,55 @@ class PagedKVPool:
             return
         self._leaf_cached[page.page_id] = page
         self._heap_seq += 1
+        page.leaf_seq = self._heap_seq
         heapq.heappush(
             self._victim_heap,
             (page.cost_score, page.last_used, self._heap_seq, page.page_id),
         )
+        if self.ttl_s is not None:
+            heapq.heappush(
+                self._age_heap, (page.last_used, self._heap_seq, page.page_id)
+            )
+        self._compact_heaps()
+
+    def _leaf_discard(self, page_id: int) -> None:
+        if self._leaf_cached.pop(page_id, None) is not None:
+            self._compact_heaps()
+
+    def _victim_live(self, entry: tuple) -> KVPage | None:
+        """The leaf a victim-heap entry still ranks, else ``None``."""
+        score, used, _seq, page_id = entry
+        page = self._leaf_cached.get(page_id)
+        if page is None or page.cost_score != score or page.last_used != used:
+            return None
+        return page
+
+    def _age_live(self, entry: tuple) -> KVPage | None:
+        """The leaf an age-heap entry still ranks, else ``None``.
+        Judged by seq, not ``last_used``: a leaf that left the index and
+        came back with the same age ranks at its re-entry."""
+        _used, seq, page_id = entry
+        page = self._leaf_cached.get(page_id)
+        if page is None or page.leaf_seq != seq:
+            return None
+        return page
+
+    def _heap_bound(self) -> int:
+        return 2 * len(self._leaf_cached) + 64
+
+    def _compact_heaps(self) -> None:
+        """Rebuild a lazy heap that outgrew :meth:`_heap_bound`, keeping
+        exactly the entries its pop-time check accepts now, in the same
+        relative order.  The age heap loses nothing that could rank
+        again (a re-entered leaf gets a new seq); a victim entry dropped
+        for a page that is out of the index only stops that page, should
+        it re-enter with the same cost and age, from ranking ahead of
+        its re-entry."""
+        bound = self._heap_bound()
+        if len(self._victim_heap) > bound:
+            _rebuild(self._victim_heap, self._victim_live)
+        if len(self._age_heap) > bound:
+            _rebuild(self._age_heap, self._age_live)
 
     def _cache_insert(self, page: KVPage) -> None:
         """Retain a ref-0 page in the evictable prefix cache.  The
@@ -287,7 +352,7 @@ class PagedKVPool:
     def _cache_remove(self, page: KVPage) -> None:
         """Take a page back out of the evictable cache (re-pin/evict)."""
         self._cached.pop(page.page_id)
-        self._leaf_cached.pop(page.page_id, None)
+        self._leaf_discard(page.page_id)
         self.bytes_evictable -= page.nbytes
 
     def _pick_eviction_victim(self) -> KVPage:
@@ -305,27 +370,9 @@ class PagedKVPool:
         consistent even then.
         """
         while self._victim_heap:
-            score, used, _seq, page_id = heapq.heappop(self._victim_heap)
-            page = self._leaf_cached.get(page_id)
-            if (
-                page is not None
-                and page.cost_score == score
-                and page.last_used == used
-            ):
+            page = self._victim_live(heapq.heappop(self._victim_heap))
+            if page is not None:
                 return page
-        if self._leaf_cached:  # heap starved by stale entries: rebuild
-            for page in self._leaf_cached.values():
-                self._heap_seq += 1
-                heapq.heappush(
-                    self._victim_heap,
-                    (
-                        page.cost_score,
-                        page.last_used,
-                        self._heap_seq,
-                        page.page_id,
-                    ),
-                )
-            return self._pick_eviction_victim()
         return next(iter(self._cached.values()))
 
     def _evict_page(self, page: KVPage, reason: str = "pressure") -> None:
@@ -376,24 +423,29 @@ class PagedKVPool:
         Allocations that do not fit call it first; call it directly to
         age stale history out under zero pressure.  Only leaves are taken, so a chain
         expires tail-first and no surviving cached page is ever
-        orphaned; a parent whose last child expired becomes a leaf
-        itself and is re-checked until nothing expired remains.
+        orphaned.  Each round pops every due leaf off the age heap and
+        evicts them oldest first, ties in leaf-index order; a parent
+        whose last child expired becomes a leaf itself and is checked
+        in the next round, until nothing due remains.  When nothing is
+        due this is one comparison against the heap's top — the leaf
+        index is never scanned.
         """
         if self.ttl_s is None or not self._leaf_cached:
             return 0
         now = self._clock()
+        heap = self._age_heap
         evicted = 0
         while True:
-            expired = [
-                page
-                for page in self._leaf_cached.values()
-                if now - page.last_used > self.ttl_s
-            ]
-            if not expired:
+            due = []
+            while heap and now - heap[0][0] > self.ttl_s:
+                page = self._age_live(heapq.heappop(heap))
+                if page is not None:
+                    due.append(page)
+            if not due:
                 return evicted
-            for page in sorted(expired, key=lambda p: p.last_used):
+            for page in due:
                 self._evict_page(page, reason="ttl")
-                evicted += 1
+            evicted += len(due)
 
     def _bump(self, nbytes: int, fp16_nbytes: int) -> None:
         self.bytes_resident += nbytes
@@ -626,7 +678,7 @@ class PagedKVPool:
             page_id=self._next_id,
             chain=chain,
             parent=parent,
-            token_ids=tuple(int(t) for t in token_ids),
+            token_ids=tuple(np.asarray(token_ids, dtype=np.int64).tolist()),
             payload=payload,
             nbytes=int(nbytes),
             fp16_nbytes=int(fp16_nbytes),
@@ -661,7 +713,7 @@ class PagedKVPool:
         # The parent gained a resident child: it is no longer a leaf.
         parent = self.peek(page.parent)
         if parent is not None:
-            self._leaf_cached.pop(parent.page_id, None)
+            self._leaf_discard(parent.page_id)
 
     def _unregister(self, page: KVPage) -> None:
         self.trie.remove(page)
@@ -686,9 +738,7 @@ class PagedKVPool:
                 # The page leaves residency: cached descendants become
                 # unreachable until it swaps back in — reclaim them now
                 # rather than letting them squat in the budget.
-                for child in self.trie.children(page.chain):
-                    if child.page_id in self._cached:
-                        self._evict_page(child, reason="cascade")
+                self._evict_cached_children(page)
                 self._unregister(page)
                 self._swapped[page.page_id] = page
                 self.bytes_swapped += page.nbytes
@@ -703,6 +753,8 @@ class PagedKVPool:
                 )
                 return
             if page.parent != ROOT_CHAIN and self.peek(page.parent) is None:
+                # Freed for good: its cached descendants go with it.
+                self._evict_cached_children(page)
                 self._unregister(page)
                 self.stats["pages_freed"] += 1
                 return
@@ -714,6 +766,11 @@ class PagedKVPool:
             del self._swapped[page.page_id]
             self.bytes_swapped -= page.nbytes
             self.stats["pages_freed"] += 1
+
+    def _evict_cached_children(self, page: KVPage) -> None:
+        for child in self.trie.children(page.chain):
+            if child.page_id in self._cached:
+                self._evict_page(child, reason="cascade")
 
     def release(self, page: KVPage) -> None:
         """Drop a resident reference (request finished)."""
@@ -889,7 +946,9 @@ class PagedKVPool:
 
     def leaf_index_violations(self) -> list[str]:
         """Disagreements between the incremental leaf index and a ground
-        truth recomputation — must be empty (tests assert it)."""
+        truth recomputation, indexed leaves missing from a heap that
+        ranks them, and heaps past the compaction bound — must be empty
+        (tests assert it)."""
         truth = {
             page.page_id
             for page in self._cached.values()
@@ -901,6 +960,26 @@ class PagedKVPool:
             out.append(f"page {pid} is a cache leaf but not indexed")
         for pid in sorted(indexed - truth):
             out.append(f"page {pid} is indexed as a leaf but is not one")
+        out += self._heap_violations(
+            "victim", self._victim_heap, self._victim_live
+        )
+        if self.ttl_s is not None:
+            out += self._heap_violations("age", self._age_heap, self._age_live)
+        return out
+
+    def _heap_violations(
+        self, name: str, heap: list, live: Callable[[tuple], KVPage | None]
+    ) -> list[str]:
+        ranked = {page.page_id for page in map(live, heap) if page is not None}
+        out = [
+            f"leaf {pid} has no live {name}-heap entry"
+            for pid in sorted(set(self._leaf_cached) - ranked)
+        ]
+        if len(heap) > self._heap_bound():
+            out.append(
+                f"{name} heap holds {len(heap)} entries for "
+                f"{len(self._leaf_cached)} leaves"
+            )
         return out
 
     def snapshot(self) -> dict:

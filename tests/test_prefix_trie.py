@@ -12,13 +12,20 @@ minimum ``(1 + hits) * nbytes``, ties least-recently-used; (6) the
 incremental leaf index never disagrees with a ground-truth recompute;
 (7) the engine's warm partial attach generates exactly the tokens a
 cold run would; (8) probes record nothing; (9) the trie refuses a second
-page for a resident chain.
+page for a resident chain; (10) the TTL age heap evicts exactly what a
+full rescan of the leaf index would, in the same order, and never scans
+the index when nothing is due; (11) both lazy heaps stay within
+``2 * leaves + 64`` entries; (12) a page freed because its parent is
+gone takes its cached descendants with it.
 """
+
+import functools
 
 import numpy as np
 import pytest
 
 from repro.llm import ProxyModel, calibrate, get_proxy_spec
+from repro.obs import TraceRecorder
 from repro.serve import (
     KVPage,
     PagedKVPool,
@@ -353,6 +360,164 @@ def test_leaf_index_tracks_random_operations():
         _check_invariants(pool)
     for page in held:
         pool.release(page)
+    _check_invariants(pool)
+
+
+def _rescan_expire_ttl(pool):
+    """The TTL sweep before the age heap, kept as the reference order:
+    each round rescans every cache leaf and evicts the due ones sorted by
+    ``last_used`` — a stable sort, so ties go in leaf-index order."""
+    if pool.ttl_s is None or not pool._leaf_cached:
+        return 0
+    now = pool._clock()
+    evicted = 0
+    while True:
+        expired = [
+            page
+            for page in pool._leaf_cached.values()
+            if now - page.last_used > pool.ttl_s
+        ]
+        if not expired:
+            return evicted
+        for page in sorted(expired, key=lambda p: p.last_used):
+            pool._evict_page(page, reason="ttl")
+            evicted += 1
+
+
+def _ttl_schedule(pool, clock, seed):
+    """Drive ``pool`` through seeded acquire / release / split / swap /
+    expire ops under a TTL that bites and a budget that evicts."""
+    # Opening: A (with child C) and B are cached at one instant, a
+    # ``last_used`` tie; then A gains a resident child and loses it, so
+    # it re-enters the leaf index after B with its age unchanged.
+    a, c = _grow_chain(pool, (0, 0, 0, 0, 1, 1, 1, 1), 4)
+    (b,) = _grow_chain(pool, (2, 2, 2, 2), 4)
+    pool.swap_out(c)
+    pool.release(a)
+    pool.release(b)
+    pool.swap_in(c)
+    pool.swap_out(c)
+    clock.advance(pool.ttl_s + 1.0)
+    assert pool.expire_ttl() == 2
+    rng = np.random.default_rng(seed)
+    # One list of pages per request, root first; a request releases or
+    # swaps out its whole chain leaf-first and swaps it in root-first.
+    held, swapped = [], []
+    chain_bytes = 3 * 2 * 4 * PER_TOKEN  # the longest chain a request holds
+    for _ in range(600):
+        clock.advance(float(rng.choice([0.0, 0.0, 1.0])))
+        op = rng.choice(6, p=(0.3, 0.25, 0.1, 0.1, 0.15, 0.1))
+        if op == 0 and pool.can_fit_with_eviction(chain_bytes):
+            seq = rng.integers(0, 3, size=int(rng.integers(1, 4)) * 4)
+            held.append(_grow_chain(pool, seq, 4))
+        elif op <= 1 and held:
+            pages = held.pop(int(rng.integers(len(held))))
+            for page in reversed(pages):
+                pool.release(page)
+        elif op == 2 and held:
+            pages = held.pop(int(rng.integers(len(held))))
+            for page in reversed(pages):
+                pool.swap_out(page)
+            swapped.append(pages)
+        elif op == 3 and swapped and pool.can_fit_with_eviction(chain_bytes):
+            pages = swapped.pop(int(rng.integers(len(swapped))))
+            held.append([pool.swap_in(page) for page in pages])
+        elif op == 4:
+            query = rng.integers(0, 3, size=int(rng.integers(2, 12)))
+            found = pool.lookup_prefix(query)
+            if found.partial is not None:
+                pool.split_page(
+                    found.partial, found.partial_tokens, _fake_split
+                )
+        else:
+            pool.expire_ttl()
+        _check_invariants(pool)
+    return a, b
+
+
+def test_ttl_heap_evicts_in_the_rescan_order():
+    """The age heap evicts the same pages for the same reasons in the
+    same order as a full rescan of the leaf index, through ties, leaf
+    re-entry, splits, swaps and pressure evictions."""
+    logs = []
+    for rescan in (False, True):
+        clock = FakeClock()
+        recorder = TraceRecorder(clock)
+        pool = PagedKVPool(
+            1_600, page_tokens=4, ttl_s=10.0, clock=clock, recorder=recorder
+        )
+        if rescan:
+            pool.expire_ttl = functools.partial(_rescan_expire_ttl, pool)
+        a, b = _ttl_schedule(pool, clock, seed=23)
+        logs.append([
+            (event.args["page_id"], event.args["reason"])
+            for event in recorder.events
+            if event.name == "evict"
+        ])
+    heap_log, rescan_log = logs
+    # The tie goes in leaf-index order: B first, then the re-entered A.
+    assert heap_log[:2] == [(b.page_id, "ttl"), (a.page_id, "ttl")]
+    reasons = [reason for _, reason in heap_log]
+    assert reasons.count("ttl") >= 20 and reasons.count("pressure") >= 20
+    assert heap_log == rescan_log
+
+
+class _NoScanDict(dict):
+    """A leaf index that fails any pass over its pages."""
+
+    def __iter__(self):
+        raise AssertionError("the leaf index was scanned")
+
+    values = items = keys = __iter__
+
+
+def test_expire_ttl_with_nothing_due_does_not_scan_the_leaf_index():
+    clock = FakeClock()
+    pool = PagedKVPool(10**9, page_tokens=4, ttl_s=100.0, clock=clock)
+    for token in range(5_000):
+        (page,) = _grow_chain(pool, (token,) * 4, 4)
+        pool.release(page)
+        clock.advance(0.01)
+    assert len(pool._leaf_cached) == 5_000
+    clock.advance(50.0)
+    pool._leaf_cached = _NoScanDict(pool._leaf_cached)
+    assert pool.expire_ttl() == 0
+    assert pool.num_cached_pages == 5_000
+
+
+def test_lazy_heaps_stay_bounded_under_repinning():
+    """Re-pinning one cached page leaves a stale entry in each heap per
+    cycle; compaction holds both heaps to ``2 * leaves + 64``."""
+    pool = PagedKVPool(10**9, page_tokens=4, ttl_s=1e9, clock=FakeClock())
+    (page,) = _grow_chain(pool, (1, 2, 3, 4), 4)
+    pool.release(page)
+    for _ in range(1_000):
+        again, shared = pool.acquire(
+            page.chain, page.token_ids, lambda: pytest.fail("rebuilt")
+        )
+        assert shared and again is page
+        pool.release(again)
+    assert len(pool._leaf_cached) == 1
+    assert len(pool._victim_heap) <= 2 + 64
+    assert len(pool._age_heap) <= 2 + 64
+    _check_invariants(pool)
+
+
+def test_freeing_an_orphaned_page_evicts_its_cached_descendants():
+    """A pinned page whose parent was evicted is freed on release; its
+    cached descendants must go with it, not stay cached unreachable."""
+    pool = PagedKVPool(4 * 64, page_tokens=4)
+    a, b, c, d = _grow_chain(pool, tuple(range(16)), 4)
+    pool.release(a)
+    pool.release(c)
+    # No cache leaf (A and C each have a pinned child): the allocation
+    # falls back to FIFO and evicts A from under the pinned B.
+    _grow_chain(pool, (99,) * 4, 4)
+    assert pool.peek(a.chain) is None
+    pool.release(d)
+    pool.release(b)
+    assert pool.peek(c.chain) is None and pool.peek(d.chain) is None
+    assert pool.stats["evictions_cascade"] == 2
     _check_invariants(pool)
 
 
