@@ -11,8 +11,14 @@ grown geometrically.  A read decodes only the segments past the cursor,
 writes them behind the rows already there and returns a read-only view of
 the filled prefix — no walk over the segment list and no copy of the
 rows decoded earlier, so its cost does not grow with the context.
-``invalidate_decoded`` is the hook eviction and segment-rewriting passes
-use to roll the cursor back.
+``invalidate_decoded`` rolls the cursor back; only the decode-cache
+bench and the tests call it — nothing in ``repro.serve`` does, because
+``coalesce`` keeps the cursor on a boundary itself.
+
+The stream does not know the storage format: it asks its codec for a
+segment's ``token_shape``, to ``merge`` segments and to ``decode_all``
+them.  :class:`KVCacheCodec` answers for Ecco blocks; the serving fp16
+baseline answers with raw fp16 arrays, so both formats share one store.
 
 The codec's cost is mostly per call, not per group, so callers batch:
 ``encode_tokens`` over many tokens (of many streams) is cut back into
@@ -214,6 +220,19 @@ class KVCacheCodec(EccoTensorCodec):
         num_tokens, dim = compressed.token_shape
         return values.reshape(num_tokens, -1)[:, :dim]
 
+    @staticmethod
+    def token_shape(segment: CompressedTensor) -> tuple[int, int]:
+        """``(num_tokens, dim)`` of a token segment."""
+        if segment.token_shape is None:
+            raise ValueError("segments must be token batches (token_shape set)")
+        return segment.token_shape
+
+    @staticmethod
+    def merge(segments: list[CompressedTensor]) -> CompressedTensor:
+        """One segment for consecutive ``segments`` (see
+        :func:`merge_token_segments`, looked up at call time)."""
+        return merge_token_segments(segments)
+
     def decode_all(self, segments: list[CompressedTensor]) -> np.ndarray:
         """Decode many token segments with one vectorized unpack.
 
@@ -248,11 +267,14 @@ class KVCacheStream:
     performs O(T) total block decodes instead of O(T^2), and a read costs
     O(fresh segments) whatever the context length.  The ``decoded_tokens``
     counters expose exactly how much decode work was done, and
-    ``invalidate_decoded`` rolls the read cursor back (the hook eviction
-    or segment-rewriting passes must call).  Rows only ever enter the
-    decoded buffer out of a block decode — a read's, or one the caller
-    already ran and hands over with ``prime_decoded`` — never from the
-    encoder's own reconstruction.
+    ``invalidate_decoded`` rolls the read cursor back.  Rows only ever
+    enter the decoded buffer out of a codec decode — a read's, or one the
+    caller already ran and hands over with ``prime_decoded`` — never from
+    the encoder's own reconstruction.
+
+    The two codecs are anything with ``token_shape``, ``merge`` and
+    ``decode_all`` over one segment type: :class:`KVCacheCodec` for Ecco
+    blocks, ``repro.serve.storage.Fp16KVBackend`` for raw fp16 rows.
     """
 
     def __init__(self, key_codec: KVCacheCodec, value_codec: KVCacheCodec):
@@ -287,19 +309,18 @@ class KVCacheStream:
     def num_segments(self) -> int:
         return len(self._segments["keys"])
 
-    @staticmethod
-    def _prefix_index(
-        segments: list[CompressedTensor], token_limit: int
-    ) -> tuple[int, int]:
-        """(index, tokens) of the longest segment prefix of <= token_limit
-        tokens — the boundary a mid-segment position rounds down to.
+    def _prefix_index(self, side: str, token_limit: int) -> tuple[int, int]:
+        """(index, tokens) of the longest prefix of one side's segments of
+        <= token_limit tokens — the boundary a mid-segment position rounds
+        down to.
 
         A walk over the segment list: only the cursor rewrites
         (``_truncate_cache``, ``coalesce``) may call it, never a read.
         """
+        token_shape = self._codec(side).token_shape
         covered = 0
-        for idx, segment in enumerate(segments):
-            tokens = segment.token_shape[0]
+        for idx, segment in enumerate(self._segments[side]):
+            tokens = token_shape(segment)[0]
             if covered + tokens > token_limit:
                 return idx, covered
             covered += tokens
@@ -338,9 +359,8 @@ class KVCacheStream:
         stream (e.g. a shared prompt page) is appended by reference to
         every other stream that covers the same tokens.
         """
-        if key_segment.token_shape is None or value_segment.token_shape is None:
-            raise ValueError("segments must be token batches (token_shape set)")
-        kt, vt = key_segment.token_shape[0], value_segment.token_shape[0]
+        kt, k_dim = self.key_codec.token_shape(key_segment)
+        vt, v_dim = self.value_codec.token_shape(value_segment)
         if kt != vt:
             raise ValueError(
                 f"keys and values must cover the same tokens: got "
@@ -349,9 +369,7 @@ class KVCacheStream:
         self._segments["keys"].append(key_segment)
         self._segments["values"].append(value_segment)
         self._num_tokens += kt
-        self.original_nbytes += (
-            kt * key_segment.token_shape[1] + vt * value_segment.token_shape[1]
-        ) * 2
+        self.original_nbytes += (kt * k_dim + vt * v_dim) * 2
         self.compressed_nbytes += key_segment.nbytes + value_segment.nbytes
 
     @property
@@ -413,7 +431,7 @@ class KVCacheStream:
         below ``token_limit`` (a no-op when it is already there)."""
         if self._cached_tokens[side] <= token_limit:
             return
-        idx, covered = self._prefix_index(self._segments[side], token_limit)
+        idx, covered = self._prefix_index(side, token_limit)
         # Keep exactly the surviving rows: arrays already handed out alias
         # the rows past them, so those must not be decoded into again.  A
         # buffer with no spare capacity makes the next read grow into
@@ -439,13 +457,12 @@ class KVCacheStream:
     def invalidate_decoded(self, from_token: int | None = None) -> None:
         """Drop cached decoded state from ``from_token`` onward.
 
-        With no argument everything is dropped (the blunt eviction hook:
-        the next read re-decodes the whole stream).  With ``from_token``
-        only the tail is dropped — the hook page-granular eviction and
-        segment rewrites use so they do not throw away the decoded prefix.
-        ``from_token`` rounds *down* to a segment boundary (decode is
-        segment-granular), so at most one extra segment is re-decoded.
-        The compressed segments are untouched either way.
+        With no argument everything is dropped (the next read re-decodes
+        the whole stream).  With ``from_token`` only the tail is dropped,
+        so the decoded prefix survives.  ``from_token`` rounds *down* to
+        a segment boundary (decode is segment-granular), so at most one
+        extra segment is re-decoded.  The compressed segments are
+        untouched either way.
         """
         limit = 0 if from_token is None else max(from_token, 0)
         for side in ("keys", "values"):
@@ -458,22 +475,22 @@ class KVCacheStream:
         page-granular segment per side; returns the (key, value) pair.
 
         ``from_token`` must lie on a segment boundary.  Merging is a pure
-        block concatenation (see :func:`merge_token_segments`) so decoded
+        concatenation (see :func:`merge_token_segments`) so decoded
         values are unchanged bit for bit; decoded-cache state whose
         boundary fell strictly inside the merged range is dropped back to
         ``from_token`` (segment-granular reads could no longer resume from
         it), which is the only re-decode this rewrite can cost.
         """
         segments = self._segments["keys"]
-        idx, covered = self._prefix_index(segments, from_token)
+        idx, covered = self._prefix_index("keys", from_token)
         if covered != from_token:
             raise ValueError(
                 f"from_token {from_token} is not a segment boundary"
             )
         if idx >= len(segments):
             raise ValueError(f"no segments at or after token {from_token}")
-        merged_k = merge_token_segments(segments[idx:])
-        merged_v = merge_token_segments(self._segments["values"][idx:])
+        merged_k = self.key_codec.merge(segments[idx:])
+        merged_v = self.value_codec.merge(self._segments["values"][idx:])
         self._segments["keys"][idx:] = [merged_k]
         self._segments["values"][idx:] = [merged_v]
         for side in ("keys", "values"):
@@ -488,7 +505,7 @@ def read_streams(
     streams: Sequence[KVCacheStream], side: str
 ) -> list[np.ndarray]:
     """Each stream's decoded ``(num_tokens, dim)`` cache of one side, from
-    a single block decode.
+    a single ``decode_all``.
 
     Gathers every stream's segments past its read cursor into one
     :meth:`KVCacheCodec.decode_all`, so the codec's per-call cost is paid

@@ -23,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core import read_streams
 from repro.llm.decode import decode_step, prefill_chunk
 from repro.llm.model import ProxyModel
 from repro.obs import MetricsRegistry, NullRecorder, wall_clock
@@ -43,7 +44,8 @@ class _PoolBatchKV:
     The codec is called per step, not per request: ``append`` encodes the
     step's R new rows with one ``backend.encode_rows`` per side and hands
     each request its one-token slice; ``read`` decodes every request's
-    not-yet-decoded segments with one ``backend.read_batch`` per side.
+    not-yet-decoded segments with one :func:`~repro.core.read_streams` per
+    side (both storage formats keep a ``KVCacheStream`` per layer).
     """
 
     def __init__(self, requests: list[Request]):
@@ -66,10 +68,8 @@ class _PoolBatchKV:
             )
 
     def read(self, layer: int):
-        return (
-            self.backend.read_batch(self.kvs, layer, "keys"),
-            self.backend.read_batch(self.kvs, layer, "values"),
-        )
+        streams = [kv.streams[layer] for kv in self.kvs]
+        return read_streams(streams, "keys"), read_streams(streams, "values")
 
 
 class _ChunkIngestKV:

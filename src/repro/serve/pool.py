@@ -366,8 +366,9 @@ class PagedKVPool:
         go before the shared prefixes beneath them because a parent with
         resident children is never a leaf.  If every cached page has
         resident children (some pinned by running requests), fall back
-        to plain FIFO — the cascade in ``_evict_page`` keeps the cache
-        consistent even then.
+        to plain FIFO: the victim may then sit above a pinned page, and
+        the cascade in ``_evict_page`` walks through that page to take
+        the cached pages below it too.
         """
         while self._victim_heap:
             page = self._victim_live(heapq.heappop(self._victim_heap))
@@ -378,9 +379,12 @@ class PagedKVPool:
     def _evict_page(self, page: KVPage, reason: str = "pressure") -> None:
         """Evict one cached page, cascading through its cached
         descendants first (deepest-first): evicting a parent must never
-        leave a cached child that no prefix-match walk can reach.
-        Iterative post-order — a long conversation leaves a linear
-        cached chain far deeper than the interpreter recursion limit."""
+        leave a cached page below it that no prefix-match walk can
+        reach.  The walk passes through pinned descendants without
+        evicting them (they are freed when released, see
+        ``_maybe_demote``).  Iterative post-order — a long conversation
+        leaves a linear cached chain far deeper than the interpreter
+        recursion limit."""
         stack: list[tuple[KVPage, bool]] = [(page, False)]
         while stack:
             node, expanded = stack.pop()
@@ -402,10 +406,10 @@ class PagedKVPool:
                     tokens=node.num_tokens,
                 )
                 continue
-            stack.append((node, True))
+            if node.page_id in self._cached:
+                stack.append((node, True))
             for child in self.trie.children(node.chain):
-                if child.page_id in self._cached:
-                    stack.append((child, False))
+                stack.append((child, False))
 
     def _evict_for(self, nbytes: int) -> None:
         """Reclaim prefix-cache pages until ``nbytes`` fits (or none are

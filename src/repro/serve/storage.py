@@ -1,27 +1,31 @@
 """Storage backends: per-request paged KV state over the shared pool.
 
 Two backends serve the same engine: :class:`EccoKVBackend` stores pages
-as Ecco 64-byte blocks (one :class:`~repro.core.KVCacheStream` per
-layer per request, so reads reuse the PR-2 decoded-segment cache and a
-preempted request re-admits without re-decoding history), and
-:class:`Fp16KVBackend` stores raw fp16 — the capacity baseline.
+as Ecco 64-byte blocks and :class:`Fp16KVBackend` stores raw fp16 — the
+capacity baseline.  Either way a request keeps one
+:class:`~repro.core.KVCacheStream` per layer over the backend's codecs,
+so reads decode (for fp16: cast to float32) only the rows appended since
+the previous read, and a preempted request re-admits without touching
+its history again.  The backends differ only in the bytes they store.
 
 What a "segment" is belongs to the backend: ``encode_rows`` turns a
 batch of rows into one, ``slice_segment`` cuts it at token boundaries,
-``read_batch`` decodes many requests' segments together.  The codec is
-therefore called once per (layer, side) per *call site* — per engine
-decode step over the R running requests, per whole prompt, per prefill
-chunk — never once per request or per page: the rows are encoded in one
-batch and each request, page and tail is handed its slice.  The codec
-plans every token's groups on their own (per-token group padding), so a
-slice holds exactly the bytes a call over its rows alone would emit.
+and the backend's per-layer codecs merge and decode segments for the
+streams (:func:`~repro.core.read_streams` decodes many requests'
+segments together).  The codec is therefore called once per (layer,
+side) per *call site* — per engine decode step over the R running
+requests, per whole prompt, per prefill chunk — never once per request
+or per page: the rows are encoded in one batch and each request, page
+and tail is handed its slice.  The codec plans every token's groups on
+their own (per-token group padding), so a slice holds exactly the bytes
+a call over its rows alone would emit.
 
 A request's KV lives in two tiers: *pages* (full ``page_tokens`` units,
 pool-accounted, prefix-shared, swap units) and a *private tail* (the
 most recent tokens, appended one per decode step).  When the tail fills
-a page the backend coalesces it — for Ecco a pure block concatenation
-via ``KVCacheStream.coalesce`` that rewrites segments without touching
-a byte of payload — and promotes it into the pool, where a concurrent
+a page the backend coalesces it — ``KVCacheStream.coalesce``, for Ecco a
+pure block concatenation that rewrites segments without touching a byte
+of payload — and promotes it into the pool, where a concurrent
 request that generated the identical continuation would share it.
 """
 
@@ -33,7 +37,6 @@ from repro.core import (
     KV_CONFIG,
     KVCacheCodec,
     KVCacheStream,
-    read_streams,
     slice_token_segment,
     split_token_segment,
 )
@@ -51,51 +54,14 @@ def _parse_hook_name(name: str) -> tuple[int, str]:
     return layer, side
 
 
-def _split_page_payload(backend, payload: dict, head_tokens: int):
-    """Split every layer's K/V segments of a page payload at a token
-    boundary, in the ``PagedKVPool.split_page`` splitter protocol.
-
-    Returns ``(head_payload, head_nbytes, head_fp16_nbytes,
-    tail_payload, tail_nbytes, tail_fp16_nbytes)``.  Both storage
-    formats split without touching payload values — Ecco slices block
-    rows (per-token group padding makes each token's blocks
-    self-contained), fp16 slices array rows — so the halves decode
-    bit-exactly to what a fresh encode of each slice would produce and
-    the byte totals are conserved exactly.
-    """
-    head_payload: dict = {}
-    tail_payload: dict = {}
-    head_nbytes = tail_nbytes = 0
-    for layer, (k_seg, v_seg) in payload.items():
-        k_head, k_tail = backend.split_segment(k_seg, head_tokens)
-        v_head, v_tail = backend.split_segment(v_seg, head_tokens)
-        head_payload[layer] = (k_head, v_head)
-        tail_payload[layer] = (k_tail, v_tail)
-        head_nbytes += backend.segment_nbytes(k_head)
-        head_nbytes += backend.segment_nbytes(v_head)
-        tail_nbytes += backend.segment_nbytes(k_tail)
-        tail_nbytes += backend.segment_nbytes(v_tail)
-    per_fp16 = backend.per_token_fp16_nbytes
-    tail_tokens = next(
-        backend.segment_tokens(pair[0]) for pair in tail_payload.values()
-    )
-    return (
-        head_payload,
-        head_nbytes,
-        head_tokens * per_fp16,
-        tail_payload,
-        tail_nbytes,
-        tail_tokens * per_fp16,
-    )
-
-
 class RequestKV:
     """One request's paged KV: pages + private tail + decoded reads.
 
-    Subclasses implement the storage format; this base owns the paging
-    arithmetic, the pool accounting, the page hash chain, and the
-    prefill capture protocol (the object doubles as the ``kv_quant``
-    hook a prefill forward pass runs through).
+    The layer state is one :class:`~repro.core.KVCacheStream` per layer
+    over the backend's codecs, for either storage format; this class
+    owns the paging arithmetic, the pool accounting, the page hash
+    chain, and the prefill capture protocol (the object doubles as the
+    ``kv_quant`` hook a prefill forward pass runs through).
     """
 
     def __init__(
@@ -127,6 +93,13 @@ class RequestKV:
         #: split (zero when the match ended on a page boundary).
         self.split_tokens = 0
         self._released = False
+        self.streams = [
+            KVCacheStream(key_codec=key_codec, value_codec=value_codec)
+            for key_codec, value_codec in backend.codecs
+        ]
+        #: Prompt rows the prefill roundtrip already decoded, per
+        #: (layer, side), until ``commit_prompt`` primes the streams.
+        self._prompt_decoded: dict = {}
         # Page hash chain over the prompt's full pages.
         P = self.page_tokens
         self._num_prompt_pages = len(self.prompt_ids) // P
@@ -285,7 +258,15 @@ class RequestKV:
                     self._pending[(layer, "values")][j],
                 ),
             )
-        self._init_layer_state()
+        for layer, stream in enumerate(self.streams):
+            keys = self._pending[(layer, "keys")]
+            values = self._pending[(layer, "values")]
+            for k_seg, v_seg in zip(keys, values):
+                stream.append_compressed(k_seg, v_seg)
+            for side in ("keys", "values"):
+                stream.prime_decoded(
+                    side, self._prompt_decoded.pop((layer, side))
+                )
         tail_tokens = len(self.prompt_ids) - self._num_prompt_pages * P
         if tail_tokens:
             tail_nbytes = sum(
@@ -369,7 +350,6 @@ class RequestKV:
                 k_seg, v_seg = pinned.payload[layer]
                 self._append_segment(layer, k_seg, v_seg)
             self.token_ids.extend(pinned.token_ids)
-        self._note_pages_committed(len(matched))
         self._last_chain = matched[-1].chain
         self.attached_tokens = total
         return total
@@ -392,7 +372,6 @@ class RequestKV:
         self._pending = None
         self._chunk_bounds = None
         self._chunk_segments = {}
-        self._init_layer_state_empty()
 
     def begin_chunk(self, start: int, end: int) -> None:
         """Open the chunk covering prompt tokens ``[start, end)``.
@@ -510,7 +489,6 @@ class RequestKV:
             )
             self._reserve_tail(tail, tail_nbytes)
         self.token_ids.extend(self.prompt_ids[start:end])
-        self._note_pages_committed(len(pages))
         self._chunk_bounds = None
         self._chunk_segments = {}
 
@@ -548,7 +526,10 @@ class RequestKV:
         """Coalesce the full tail into a page and promote it to the pool."""
         start = self.paged_tokens
         ids = self.token_ids[start:]
-        payload = self._collect_page_payload(start)
+        payload = {
+            layer: stream.coalesce(start)
+            for layer, stream in enumerate(self.streams)
+        }
         parent = self._last_chain
         chain = chain_hash(parent, ids)
         nbytes = self._unpaged_nbytes
@@ -620,191 +601,121 @@ class RequestKV:
         self._released = True
 
     # ------------------------------------------------------------------
-    # Storage-format hooks.
+    # Layer state: one KVCacheStream per layer, whatever the format.
     # ------------------------------------------------------------------
     def _encode_prompt_side(self, layer, side, kv):
-        raise NotImplementedError
-
-    def _init_layer_state(self):
-        raise NotImplementedError
-
-    def _init_layer_state_empty(self):
-        """Create empty per-layer state for chunk-by-chunk ingestion."""
-        raise NotImplementedError
-
-    def _append_segment(self, layer, k_seg, v_seg):
-        """Append one encoded K/V segment pair to the layer state."""
-        raise NotImplementedError
-
-    def _note_pages_committed(self, num_pages):
-        """Chunked-commit bookkeeping hook (fp16 tracks paged chunks)."""
-
-    def _collect_page_payload(self, start):
-        raise NotImplementedError
-
-    def read(self, layer: int, side: str) -> np.ndarray:
-        raise NotImplementedError
-
-    @property
-    def decoded_token_counters(self) -> dict:
-        """Total block-decode work across layers (zeros for fp16)."""
-        return {"keys": 0, "values": 0}
-
-
-class EccoRequestKV(RequestKV):
-    """Ecco-compressed paged KV: one KVCacheStream per layer."""
-
-    def __init__(self, backend, pool, prompt_ids, record_raw=False):
-        super().__init__(backend, pool, prompt_ids, record_raw)
-        self.streams: list[KVCacheStream] | None = None
-        self._prompt_decoded: dict = {}
-
-    def _encode_prompt_side(self, layer, side, kv):
         segments = self._encode_pages(layer, side, kv, 0)
-        # Kept for ``_init_layer_state``: these rows came out of the
-        # blocks, so the stream adopts them instead of decoding again.
+        # Kept for ``commit_prompt``: these rows came out of the codec, so
+        # the stream adopts them instead of decoding again.
         decoded = self.backend.codec(layer, side).decode_all(segments)
         self._prompt_decoded[(layer, side)] = decoded
         return segments, decoded
 
-    def _init_layer_state(self):
-        self._init_layer_state_empty()
-        for layer, stream in enumerate(self.streams):
-            keys = self._pending[(layer, "keys")]
-            values = self._pending[(layer, "values")]
-            for k_seg, v_seg in zip(keys, values):
-                stream.append_compressed(k_seg, v_seg)
-            for side in ("keys", "values"):
-                stream.prime_decoded(
-                    side, self._prompt_decoded.pop((layer, side))
-                )
-
-    def _init_layer_state_empty(self):
-        self.streams = [
-            KVCacheStream(key_codec=key_codec, value_codec=value_codec)
-            for key_codec, value_codec in self.backend.codecs
-        ]
-
     def _append_segment(self, layer, k_seg, v_seg):
+        """Append one encoded K/V segment pair to the layer state."""
         self.streams[layer].append_compressed(k_seg, v_seg)
 
-    def _collect_page_payload(self, start):
-        return {
-            layer: stream.coalesce(start)
-            for layer, stream in enumerate(self.streams)
-        }
-
-    def read(self, layer, side):
+    def read(self, layer: int, side: str) -> np.ndarray:
         stream = self.streams[layer]
         return stream.read_keys() if side == "keys" else stream.read_values()
 
     @property
-    def decoded_token_counters(self):
+    def decoded_token_counters(self) -> dict:
+        """Rows that entered the read buffers, summed over layers: block
+        decodes for Ecco, float16 -> float32 casts for fp16."""
         out = {"keys": 0, "values": 0}
-        for stream in self.streams or []:
+        for stream in self.streams:
             out["keys"] += stream.decoded_tokens["keys"]
             out["values"] += stream.decoded_tokens["values"]
         return out
 
 
+# The two subclasses differ in name only: ``benchmarks/harness/spans.py``
+# patches these two methods per class through ``owner.__dict__`` (ROADMAP
+# 1(b)), so each class must define them itself.
+class EccoRequestKV(RequestKV):
+    """Ecco-compressed paged KV."""
+
+    _encode_prompt_side = RequestKV._encode_prompt_side
+    read = RequestKV.read
+
+
 class Fp16RequestKV(RequestKV):
     """Raw fp16 paged KV — the capacity baseline."""
 
-    def __init__(self, backend, pool, prompt_ids, record_raw=False):
-        super().__init__(backend, pool, prompt_ids, record_raw)
-        self._chunks: list[dict] | None = None
-        self._paged_chunk_count = 0
-        #: Incrementally grown float32 read caches, mirroring the ecco
-        #: stream's decoded-segment cache: each read copies only the rows
-        #: appended since the previous one, not the whole history.
-        self._read_cache: list[dict] | None = None
+    _encode_prompt_side = RequestKV._encode_prompt_side
+    read = RequestKV.read
 
-    def _encode_prompt_side(self, layer, side, kv):
-        segments = self._encode_pages(layer, side, kv, 0)
-        decoded = np.concatenate(segments, axis=0).astype(np.float32)
-        return segments, decoded
 
-    def _init_layer_state(self):
-        self._chunks = []
-        for layer in range(self.backend.num_layers):
-            self._chunks.append(
-                {
-                    "keys": list(self._pending[(layer, "keys")]),
-                    "values": list(self._pending[(layer, "values")]),
-                }
-            )
-        self._paged_chunk_count = self._num_prompt_pages
-        self._read_cache = [
-            {"keys": None, "values": None}
-            for _ in range(self.backend.num_layers)
-        ]
+class _KVBackend:
+    """What both storage formats share: per-layer ``codecs`` (a key and
+    a value codec per layer, the ``KVCacheStream`` protocol), byte
+    accounting, page splits and request creation."""
 
-    def _init_layer_state_empty(self):
-        self._chunks = [
-            {"keys": [], "values": []}
-            for _ in range(self.backend.num_layers)
-        ]
-        self._paged_chunk_count = 0
-        self._read_cache = [
-            {"keys": None, "values": None}
-            for _ in range(self.backend.num_layers)
-        ]
+    name: str
+    num_layers: int
+    d_model: int
+    codecs: list
 
-    def _append_segment(self, layer, k_seg, v_seg):
-        self._chunks[layer]["keys"].append(k_seg)
-        self._chunks[layer]["values"].append(v_seg)
+    @property
+    def per_token_fp16_nbytes(self) -> int:
+        return self.num_layers * 2 * self.d_model * 2
 
-    def _note_pages_committed(self, num_pages):
-        self._paged_chunk_count += num_pages
+    def codec(self, layer: int, side: str):
+        return self.codecs[layer][0 if side == "keys" else 1]
 
-    def _collect_page_payload(self, start):
-        n = self._paged_chunk_count
-        payload = {}
-        for layer, chunks in enumerate(self._chunks):
-            merged_k = np.concatenate(chunks["keys"][n:], axis=0)
-            merged_v = np.concatenate(chunks["values"][n:], axis=0)
-            chunks["keys"][n:] = [merged_k]
-            chunks["values"][n:] = [merged_v]
-            payload[layer] = (merged_k, merged_v)
-        self._paged_chunk_count = n + 1
-        return payload
+    @staticmethod
+    def segment_nbytes(segment) -> int:
+        return int(segment.nbytes)
 
-    def read(self, layer, side):
-        chunks = self._chunks[layer][side]
-        cache = self._read_cache[layer][side]
-        total = sum(chunk.shape[0] for chunk in chunks)
-        cached = 0 if cache is None else cache.shape[0]
-        if cached == total:
-            return cache
-        # Fresh rows are the trailing ones; chunk rewrites (pageify) merge
-        # whole chunks without changing content, so walking back by row
-        # count always recovers exactly the unseen suffix.
-        need = total - cached
-        fresh = []
-        for chunk in reversed(chunks):
-            fresh.append(chunk)
-            need -= chunk.shape[0]
-            if need <= 0:
-                break
-        fresh.reverse()
-        fresh_rows = np.concatenate(fresh, axis=0).astype(np.float32)
-        if need < 0:
-            fresh_rows = fresh_rows[-(total - cached):]
-        cache = (
-            fresh_rows
-            if cache is None
-            else np.concatenate([cache, fresh_rows], axis=0)
+    def split_page_payload(self, payload: dict, head_tokens: int):
+        """Split every layer's K/V segments of a page payload at a token
+        boundary, in the ``PagedKVPool.split_page`` splitter protocol.
+
+        Returns ``(head_payload, head_nbytes, head_fp16_nbytes,
+        tail_payload, tail_nbytes, tail_fp16_nbytes)``.  Both storage
+        formats split without touching payload values — Ecco slices block
+        rows (per-token group padding makes each token's blocks
+        self-contained), fp16 slices array rows — so the halves decode
+        bit-exactly to what a fresh encode of each slice would produce and
+        the byte totals are conserved exactly.
+        """
+        nbytes = self.segment_nbytes
+        head_payload: dict = {}
+        tail_payload: dict = {}
+        head_nbytes = tail_nbytes = 0
+        for layer, (k_seg, v_seg) in payload.items():
+            k_head, k_tail = self.split_segment(k_seg, head_tokens)
+            v_head, v_tail = self.split_segment(v_seg, head_tokens)
+            head_payload[layer] = (k_head, v_head)
+            tail_payload[layer] = (k_tail, v_tail)
+            head_nbytes += nbytes(k_head) + nbytes(v_head)
+            tail_nbytes += nbytes(k_tail) + nbytes(v_tail)
+        per_fp16 = self.per_token_fp16_nbytes
+        tail_tokens = self.codec(0, "keys").token_shape(k_tail)[0]
+        return (
+            head_payload,
+            head_nbytes,
+            head_tokens * per_fp16,
+            tail_payload,
+            tail_nbytes,
+            tail_tokens * per_fp16,
         )
-        cache.flags.writeable = False
-        self._read_cache[layer][side] = cache
-        return cache
+
+    def split_segment(self, segment, head_tokens: int):
+        """The two-part slice of a segment at a token boundary."""
+        raise NotImplementedError
+
+    def create_request(self, pool, prompt_ids, record_raw=False) -> RequestKV:
+        # Goes with the two name-only subclasses above (ROADMAP 4(b)).
+        kind = EccoRequestKV if self.name == "ecco" else Fp16RequestKV
+        return kind(self, pool, prompt_ids, record_raw)
 
 
-class EccoKVBackend:
+class EccoKVBackend(_KVBackend):
     """Per-layer Ecco KV codecs calibrated once per engine."""
 
     name = "ecco"
-    request_cls = EccoRequestKV
 
     def __init__(self, num_layers: int, d_model: int, calib):
         self.num_layers = int(num_layers)
@@ -831,21 +742,6 @@ class EccoKVBackend:
         """Deterministic compressed bytes per token (K+V, all layers)."""
         return self.num_layers * 2 * self._side_nbytes
 
-    @property
-    def per_token_fp16_nbytes(self) -> int:
-        return self.num_layers * 2 * self.d_model * 2
-
-    @staticmethod
-    def segment_nbytes(segment) -> int:
-        return int(segment.nbytes)
-
-    @staticmethod
-    def segment_tokens(segment) -> int:
-        return int(segment.token_shape[0])
-
-    def codec(self, layer: int, side: str) -> KVCacheCodec:
-        return self.codecs[layer][0 if side == "keys" else 1]
-
     def encode_rows(self, layer: int, side: str, rows: np.ndarray):
         """One segment for a ``(tokens, dim)`` batch of one layer side's
         rows — one codec call however many requests or pages they span."""
@@ -865,49 +761,29 @@ class EccoKVBackend:
         of its own rows."""
         return slice_token_segment(segment, token_counts)
 
-    @staticmethod
-    def split_segment(segment, head_tokens: int):
+    def split_segment(self, segment, head_tokens: int):
         """The two-part slice at a token boundary (a prefix-page split)."""
         return split_token_segment(segment, head_tokens)
 
-    def split_page_payload(self, payload: dict, head_tokens: int):
-        return _split_page_payload(self, payload, head_tokens)
 
-    @staticmethod
-    def read_batch(kvs: list, layer: int, side: str) -> list[np.ndarray]:
-        """Every request's decoded history of one layer side, from one
-        block decode over all their not-yet-decoded segments."""
-        return read_streams([kv.streams[layer] for kv in kvs], side)
+class Fp16KVBackend(_KVBackend):
+    """Raw fp16 KV storage — the capacity/traffic baseline.
 
-    def create_request(self, pool, prompt_ids, record_raw=False):
-        return EccoRequestKV(self, pool, prompt_ids, record_raw)
-
-
-class Fp16KVBackend:
-    """Raw fp16 KV storage — the capacity/traffic baseline."""
+    The backend is also every layer's key and value codec: a segment is a
+    ``(tokens, d_model)`` float16 array, merged by concatenation and read
+    back cast to float32.
+    """
 
     name = "fp16"
-    request_cls = Fp16RequestKV
 
     def __init__(self, num_layers: int, d_model: int, calib=None):
         self.num_layers = int(num_layers)
         self.d_model = int(d_model)
+        self.codecs = [(self, self)] * self.num_layers
 
     @property
     def per_token_nbytes(self) -> int:
-        return self.num_layers * 2 * self.d_model * 2
-
-    @property
-    def per_token_fp16_nbytes(self) -> int:
-        return self.per_token_nbytes
-
-    @staticmethod
-    def segment_nbytes(segment) -> int:
-        return int(segment.nbytes)
-
-    @staticmethod
-    def segment_tokens(segment) -> int:
-        return int(np.asarray(segment).shape[0])
+        return self.per_token_fp16_nbytes
 
     @staticmethod
     def encode_rows(layer: int, side: str, rows: np.ndarray) -> np.ndarray:
@@ -926,15 +802,18 @@ class Fp16KVBackend:
         return parts
 
     def split_segment(self, segment, head_tokens: int):
-        tail_tokens = self.segment_tokens(segment) - head_tokens
+        tail_tokens = segment.shape[0] - head_tokens
         return tuple(self.slice_segment(segment, (head_tokens, tail_tokens)))
 
-    def split_page_payload(self, payload: dict, head_tokens: int):
-        return _split_page_payload(self, payload, head_tokens)
+    # The KVCacheStream codec protocol.
+    @staticmethod
+    def token_shape(segment: np.ndarray) -> tuple[int, ...]:
+        return segment.shape
 
     @staticmethod
-    def read_batch(kvs: list, layer: int, side: str) -> list[np.ndarray]:
-        return [kv.read(layer, side) for kv in kvs]
+    def merge(segments: list) -> np.ndarray:
+        return np.concatenate(segments, axis=0)
 
-    def create_request(self, pool, prompt_ids, record_raw=False):
-        return Fp16RequestKV(self, pool, prompt_ids, record_raw)
+    @staticmethod
+    def decode_all(segments: list) -> np.ndarray:
+        return np.concatenate(segments, axis=0, dtype=np.float32)

@@ -504,20 +504,23 @@ def test_lazy_heaps_stay_bounded_under_repinning():
 
 
 def test_freeing_an_orphaned_page_evicts_its_cached_descendants():
-    """A pinned page whose parent was evicted is freed on release; its
-    cached descendants must go with it, not stay cached unreachable."""
+    """A pinned page whose parent was evicted is freed on release; the
+    cached pages below it go with the parent's eviction, and none stays
+    cached unreachable."""
     pool = PagedKVPool(4 * 64, page_tokens=4)
     a, b, c, d = _grow_chain(pool, tuple(range(16)), 4)
     pool.release(a)
     pool.release(c)
     # No cache leaf (A and C each have a pinned child): the allocation
-    # falls back to FIFO and evicts A from under the pinned B.
+    # falls back to FIFO and evicts A from under the pinned B.  The
+    # cascade walks through B and takes C, which no lookup reaches now.
     _grow_chain(pool, (99,) * 4, 4)
-    assert pool.peek(a.chain) is None
+    assert pool.unreachable_cached_pages() == []
+    assert pool.peek(a.chain) is None and pool.peek(c.chain) is None
     pool.release(d)
     pool.release(b)
-    assert pool.peek(c.chain) is None and pool.peek(d.chain) is None
-    assert pool.stats["evictions_cascade"] == 2
+    assert pool.peek(d.chain) is None
+    assert pool.stats["evictions_cascade"] == 1
     _check_invariants(pool)
 
 

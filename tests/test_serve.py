@@ -522,11 +522,7 @@ def test_audit_kv_names_the_request_that_broke_the_contract(
     assert engine.audit_kv() == []
 
     # Overwrite one row the follower encoded itself with its neighbour.
-    if storage == "ecco":
-        rows = follower.kv.streams[1]._buffer["keys"]
-    else:
-        rows = follower.kv._read_cache[1]["keys"].copy()
-        follower.kv._read_cache[1]["keys"] = rows
+    rows = follower.kv.streams[1]._buffer["keys"]
     kept = rows[18].copy()
     rows[18] = rows[19]
     assert engine.audit_kv() == [

@@ -72,10 +72,10 @@ def _whole_prompt(backend, pool, prompt_ids, rows):
 
 
 def _stored(kv, layer, side):
-    """The stored bytes of one layer side, segment by segment."""
-    if isinstance(kv.backend, EccoKVBackend):
-        return [seg.blocks for seg in kv.streams[layer]._segments[side]]
-    return kv._chunks[layer][side]
+    """The stored bytes of one layer side, segment by segment: Ecco
+    block stacks, fp16 row arrays."""
+    segments = kv.streams[layer]._segments[side]
+    return [getattr(seg, "blocks", seg) for seg in segments]
 
 
 def _drive(backend, num_requests, batched, data):
@@ -128,6 +128,12 @@ def _drive(backend, num_requests, batched, data):
                     reads[(r, layer)] = (keys[slot].copy(), values[slot].copy())
         for r in running:
             kvs[r].commit_token(5000 + step)
+        # Reads are O(new tokens) on both formats: every row entered the
+        # read buffer exactly once (a pageify or a swap re-reads none).
+        for kv in kvs:
+            assert kv.decoded_token_counters == {
+                side: LAYERS * kv.num_tokens for side in SIDES
+            }
         snapshots.append(
             {
                 "reads": reads,
