@@ -4,10 +4,11 @@ The harness runs every workload in a child process, so ``cProfile`` on
 ``run.py`` sees nothing.  ``profile_workload.py <workload> [...]`` borrows
 the named workload's own set-up and pass from ``benchmarks/harness``,
 profiles the passes of one round and writes the top 20 functions by self
-time to ``results/<workload>_profile.txt`` (CI uploads ``kv_stream``,
-``pool_churn``, ``serve_fp16`` and ``serve_cold`` — the step-batched
-codec path, where the next decision about the codec's per-call floor
-starts — with the bench reports).  Workloads run at smoke size, except
+time to ``results/<workload>_profile.txt`` (CI uploads ``codec_bulk``,
+``kv_stream``, ``pool_churn``, ``serve_fp16`` and ``serve_cold`` — the
+one-library bulk planner next to the step-batched codec path, where the
+next decision about the codec's per-call floor starts — with the bench
+reports).  Workloads run at smoke size, except
 those in ``FULL_SIZE``: cheap enough to profile at the size the harness
 measures (``pool_churn``, about 6 s under cProfile), where a cost that
 grows with the pool shows at its real share — a smoke round caches 30

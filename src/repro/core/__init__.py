@@ -21,6 +21,7 @@ from .kv import (
 )
 from .patterns import (
     SCALE_SYMBOL,
+    MetaStack,
     TensorMeta,
     calibrate_kv_meta,
     fit_tensor_meta,
@@ -37,6 +38,7 @@ __all__ = [
     "KVCacheCodec",
     "KVCacheStream",
     "KV_CONFIG",
+    "MetaStack",
     "NormalizedGroups",
     "SCALE_SYMBOL",
     "SimulationResult",

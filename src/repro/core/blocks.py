@@ -28,11 +28,17 @@ Two implementations share this layout:
   no bit plane.  Unpacking reads the same bytes as 32-bit words, looks
   every speculative window up in 256-entry Huffman tables (the software
   twin of the hardware's 8-bit window decode) and advances all groups in
-  lockstep; stacks of at most ``_SMALL_DECODE_BLOCKS`` blocks — the
-  decode loop's one token per read — take a per-block big-integer decode
+  lockstep; stacks of at most ``_SMALL_DECODE_BLOCKS`` blocks — a decode
+  step's new tokens, both sides — take a per-block big-integer decode
   instead, which is cheaper below the measured crossover.  Byte-for-byte
   identical output, and a damaged block raises ``ValueError("corrupt
   block: ...")`` from every path.
+
+Both production functions also take a stacked codec's tables: ``(L, H,
+num_symbols)`` codebooks plus a per-group ``library`` index, so one call
+covers several libraries' groups (a layer's keys and values).  A block
+stores its library-local codebook id, read back against its own
+library's tables, and an id past that library's ``H`` is corrupt.
 """
 
 from __future__ import annotations
@@ -203,6 +209,7 @@ def pack_blocks(
     corrections: np.ndarray,
     code_lengths: np.ndarray,
     code_values: np.ndarray,
+    library: np.ndarray | None = None,
 ) -> np.ndarray:
     """Serialize every group at once; rows match :func:`pack_block` exactly.
 
@@ -212,14 +219,20 @@ def pack_blocks(
     outlier slot per position (none where the correction is 0) — so every
     field's bit offset is the running sum of the widths before it, and the
     slots come out in ascending position order like the scalar writer's.
+
+    ``code_lengths`` / ``code_values`` are one library's ``(H, symbols)``
+    tables, or a stack's ``(L, H, symbols)`` with ``library`` giving each
+    group's library.
     """
     G, group_size = symbols.shape
     block_bits = config.block_bits
-    code_lengths = np.asarray(code_lengths, dtype=np.int64)
-    code_values = np.asarray(code_values, dtype=np.int64)
+    num_books, num_symbols = np.shape(code_lengths)[-2:]
+    table_shape = (-1, num_symbols)
+    code_lengths = np.asarray(code_lengths, dtype=np.int64).reshape(table_shape)
+    code_values = np.asarray(code_values, dtype=np.int64).reshape(table_shape)
     coded = symbols != SCALE_SYMBOL
     safe = np.where(coded, symbols, 0)
-    book = codebook_ids[:, None]
+    book = _book_rows(codebook_ids, library, num_books)[:, None]
     has_slot = corrections != 0
 
     num_fields = 5 + 2 * group_size
@@ -263,89 +276,95 @@ def pack_blocks(
 
 
 #: At or below this many blocks the per-group big-integer decode beats the
-#: vectorized lockstep loop.  Measured min-of-7 on one host, scalar vs
-#: vectorized µs per call: 1 block 36 / 370, 8 blocks 245 / 335, 10 blocks
-#: 310 / 335, 12 blocks 380 / 340, 32 blocks 1000 / 420, 64 blocks 1930 /
-#: 520, 128 blocks 3860 / 780, 320 blocks 9700 / 1600 — about 31 µs per
-#: block against 0.31 ms per call plus 4 µs per block, crossing between 10
-#: and 12.  The decode loop's one new token per read stays scalar; a
-#: whole-prompt or whole-page decode goes vectorized.
-_SMALL_DECODE_BLOCKS = 10
+#: vectorized lockstep loop.  Measured min-of-7 on one 2-core host over a
+#: joint read's key and value blocks (the stacked tables, library index
+#: set), scalar vs vectorized µs per call: 1 block 13 / 164, 2 blocks 23 /
+#: 136, 4 blocks 43 / 139, 8 blocks 82 / 148, 10 blocks 102 / 150, 12
+#: blocks 123 / 152, 14 blocks 142 / 155, 16 blocks 162 / 157, 20 blocks
+#: 202 / 163, 32 blocks 321 / 184, 64 blocks 645 / 234 — about 10 µs per
+#: block against 0.13 ms per call plus 1.6 µs per block, crossing between
+#: 14 and 16 (it sat between 10 and 12 before the scalar walk dropped its
+#: per-value numpy writes).  A decode step's joint read of R requests'
+#: new tokens is 2R blocks per layer, scalar up to R = 7; a whole-prompt
+#: or whole-page decode goes vectorized.
+_SMALL_DECODE_BLOCKS = 14
 
 
-def _unpack_blocks_small(config, blocks, sym_lists, len_lists):
+def _book_rows(codebook_ids, library, num_books: int):
+    """Rows of the library-major codebook tables: the block's own
+    library's ``num_books`` codebooks (library 0 when ``library`` is
+    None)."""
+    return codebook_ids if library is None else codebook_ids + library * num_books
+
+
+def _unpack_blocks_small(config, blocks, sym_lists, len_lists, num_books, library):
     """Scalar twin of the vectorized unpack for small block counts.
 
     Each block becomes one Python big integer; window extraction is then
-    two shift/mask operations per value, which for a handful of blocks is
+    one shift and one mask per value, which for a handful of blocks is
     far cheaper than launching the vectorized machinery.  ``sym_lists`` /
-    ``len_lists`` are the list forms from :func:`window_tables`.
+    ``len_lists`` are the list forms from :func:`window_tables`, one row
+    per codebook of every library, ``num_books`` per library.
     """
-    G = blocks.shape[0]
-    total_bits = blocks.shape[1] * 8
+    G, block_bytes = blocks.shape
+    block_bits = block_bytes * 8
     window_bits = int(config.max_code_len)
     window_mask = (1 << window_bits) - 1
     group_size = config.group_size
     outlier_bits = config.outlier_bits
-
-    scale_u16 = np.empty(G, dtype=np.uint16)
-    scale_pos = np.empty(G, dtype=np.int64)
-    pattern_ids = np.empty(G, dtype=np.int64)
-    codebook_ids = np.empty(G, dtype=np.int64)
-    symbols = np.empty((G, group_size), dtype=np.int64)
+    outlier_mask = (1 << outlier_bits) - 1
+    header = _header_widths(config)
+    # Zero slack past the block, as long as the longest walk a payload can
+    # take: a cursor a damaged payload pushed past the block reads zero
+    # windows, and the check after the walk reports it.
+    slack = group_size * window_bits
+    end = block_bits + slack  # a field ending at bit ``b`` is ``big >> (end - b)``
+    book_base = [0] * G if library is None else (library * num_books).tolist()
+    headers = []
+    rows = []
     corrections = np.zeros((G, group_size), dtype=np.int64)
 
     for g in range(G):
-        big = int.from_bytes(blocks[g].tobytes(), "big")
+        big = int.from_bytes(blocks[g].tobytes(), "big") << slack
+        fields = []
         off = 0
-
-        def read(n):
-            nonlocal off
-            value = (big >> (total_bits - off - n)) & ((1 << n) - 1)
-            off += n
-            return value
-
-        scale_u16[g] = read(16)
-        spos = read(config.scale_pos_bits)
-        scale_pos[g] = spos
-        pattern_ids[g] = read(config.pattern_id_bits)
-        cid = read(config.codebook_id_bits)
-        codebook_ids[g] = cid
-        count = read(config.outlier_count_bits)
-        if cid >= len(sym_lists) or spos >= group_size:
+        for width in header:
+            off += width
+            fields.append((big >> (end - off)) & ((1 << width) - 1))
+        _, spos, _, cid, count = fields
+        if cid >= num_books or spos >= group_size:
             raise ValueError("corrupt block: header field out of range")
-        stab = sym_lists[cid]
-        ltab = len_lists[cid]
-        row = symbols[g]
-        for pos in range(group_size):
-            if pos == spos:
-                row[pos] = SCALE_SYMBOL
-                continue
-            # A cursor a damaged payload pushed past the block reads zero
-            # windows from here on; the check after the loop reports it.
-            avail = total_bits - off
-            if avail >= window_bits:
-                window = (big >> (avail - window_bits)) & window_mask
-            else:
-                window = (big << (window_bits - avail)) & window_mask
+        stab = sym_lists[book_base[g] + cid]
+        ltab = len_lists[book_base[g] + cid]
+        window_end = end - window_bits
+        codes: list[int] = []
+        append = codes.append
+        for _ in range(group_size - 1):
+            window = (big >> (window_end - off)) & window_mask
             length = ltab[window]
-            if length == 0:
+            if not length:
                 raise ValueError("corrupt block: no canonical code matched")
-            row[pos] = stab[window]
+            append(stab[window])
             off += length
-        if off + count * outlier_bits > total_bits:
+        codes.insert(spos, SCALE_SYMBOL)  # the scale slot carries no code
+        headers.append(fields)
+        rows.append(codes)
+        if off + count * outlier_bits > block_bits:
             raise ValueError(
                 "corrupt block: payload and outlier slots run past the block"
             )
         for _ in range(count):
-            pos = read(config.scale_pos_bits)
-            q = read(8)
+            off += outlier_bits
+            slot = (big >> (end - off)) & outlier_mask
+            pos, q = slot >> 8, slot & 0xFF
             if pos >= group_size:
                 raise ValueError("corrupt block: outlier position out of range")
             corrections[g, pos] = q - 256 if q >= 128 else q
 
-    scales = scale_u16.view(np.float16).astype(np.float32)
-    return scales, scale_pos, pattern_ids, codebook_ids, symbols, corrections
+    parsed = np.array(headers, dtype=np.int64).reshape(G, len(header))
+    scales = parsed[:, 0].astype(np.uint16).view(np.float16).astype(np.float32)
+    symbols = np.array(rows, dtype=np.int64).reshape(G, group_size)
+    return scales, parsed[:, 1], parsed[:, 2], parsed[:, 3], symbols, corrections
 
 
 def _read_fields(words: np.ndarray, rows, starts, width: int):
@@ -360,6 +379,7 @@ def unpack_blocks(
     blocks: np.ndarray,
     code_lengths: np.ndarray,
     tables: tuple | None = None,
+    library: np.ndarray | None = None,
 ):
     """Deserialize a (G, block_bytes) stack of blocks at once.
 
@@ -374,10 +394,18 @@ def unpack_blocks(
     path — a window no code matches, a header id or position out of range,
     or a payload / outlier cursor past the end of the block — and never
     reads outside its own bytes meanwhile.
+
+    ``code_lengths`` is one library's ``(H, symbols)`` or a stack's ``(L,
+    H, symbols)`` (then ``tables`` has ``L * H`` rows and ``library``
+    gives each block's library); a codebook id of ``H`` or more is out of
+    range whatever library follows.
     """
     window_bits = int(config.max_code_len)
+    num_books, num_symbols = np.shape(code_lengths)[-2:]
     if tables is None:
-        tables = window_tables(code_lengths, window_bits)
+        tables = window_tables(
+            np.reshape(code_lengths, (-1, num_symbols)), window_bits
+        )
     sym_table, len_table = tables[0], tables[1]
     blocks = np.ascontiguousarray(blocks, dtype=np.uint8)
 
@@ -386,7 +414,9 @@ def unpack_blocks(
             sym_lists, len_lists = tables[2], tables[3]
         else:  # a bare (sym, len) array pair is still accepted
             sym_lists, len_lists = sym_table.tolist(), len_table.tolist()
-        return _unpack_blocks_small(config, blocks, sym_lists, len_lists)
+        return _unpack_blocks_small(
+            config, blocks, sym_lists, len_lists, num_books, library
+        )
 
     G, block_bytes = blocks.shape
     group_size = config.group_size
@@ -417,7 +447,7 @@ def unpack_blocks(
         start += width
     scale_u16, scale_pos, pattern_ids, codebook_ids, out_counts = fields
     scales = scale_u16.astype(np.uint16).view(np.float16).astype(np.float32)
-    if (codebook_ids >= sym_table.shape[0]).any() or (scale_pos >= group_size).any():
+    if (codebook_ids >= num_books).any() or (scale_pos >= group_size).any():
         raise ValueError("corrupt block: header field out of range")
 
     # Huffman payload: every group consumes one code per coded position,
@@ -429,7 +459,7 @@ def unpack_blocks(
     windows = (words[:, :, None] >> phase) & np.uint32((1 << window_bits) - 1)
     flat_windows = windows.ravel()
     row_base = rows * (windows.shape[1] * 8)
-    table_base = codebook_ids << window_bits
+    table_base = _book_rows(codebook_ids, library, num_books) << window_bits
     flat_syms = sym_table.ravel()
     flat_lens = len_table.ravel()
     cursor = row_base + config.header_bits

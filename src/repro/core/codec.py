@@ -7,6 +7,13 @@ serializes each group into a 64-byte block; the fast path reconstructs
 directly from the planned arrays.  Because reconstruction is one shared
 vectorized routine, ``decode(encode(x))`` and ``simulate_roundtrip`` agree
 bit for bit.
+
+Every step runs over a :class:`~repro.core.patterns.MetaStack`: several
+libraries' metadata on a leading axis, so one call codes, say, a layer's
+keys and values together, each group against its own library.  A
+:class:`TensorMeta` is the one-library case of the same code.  Dense
+steps broadcast over the library axis; sparse ones (rate control, the
+outlier pick, table lookups) gather by each group's library.
 """
 
 from __future__ import annotations
@@ -25,8 +32,10 @@ from .config import WEIGHT_CONFIG, EccoConfig
 from .grouping import normalize_groups, to_groups
 from .patterns import (
     SCALE_SYMBOL,
+    MetaStack,
     TensorMeta,
     fit_tensor_meta,
+    library_index,
     select_patterns_minmax,
     select_patterns_mse,
 )
@@ -56,6 +65,9 @@ class EncodingPlan:
     corrections: np.ndarray  # (G, group_size) int outlier corrections (0 = none)
     clipped_symbols: np.ndarray  # (G,) count per group
     padded_outliers: np.ndarray  # (G,) count per group
+    #: (G,) library of every group of a stacked plan; None is library 0
+    #: (a plain :class:`TensorMeta`'s plan).
+    library: np.ndarray | None = None
 
     @property
     def num_groups(self) -> int:
@@ -102,36 +114,63 @@ class SimulationResult:
 
 
 def plan_encoding(
-    meta: TensorMeta,
+    meta: TensorMeta | MetaStack,
     tensor: np.ndarray,
     act_weights: np.ndarray | None = None,
 ) -> EncodingPlan:
-    """The shared planning pass: groups -> symbols, clips and outliers."""
-    config = meta.config
+    """The shared planning pass: groups -> symbols, clips and outliers.
+
+    ``meta`` is one tensor's :class:`TensorMeta`, or a :class:`MetaStack`
+    of L libraries whose ``tensor`` (and ``act_weights``) carry a leading
+    library axis of L, every library the same shape; the plan's groups
+    are then library-major and its ``library`` says whose each one is.
+    """
+    stack = meta.stack
+    config = stack.config
+    L = stack.num_libraries
     tensor = np.asarray(tensor, dtype=np.float32)
-    groups, pad = to_groups(tensor, config.group_size)
+    if meta is stack and tensor.shape[:1] != (L,):
+        raise ValueError(
+            f"a {L}-library stack codes a tensor with a leading axis of "
+            f"{L}; got shape {tensor.shape}"
+        )
+    groups, pad = to_groups(tensor, config.group_size, libraries=L)
     aw = None
     if act_weights is not None:
-        aw, _ = to_groups(act_weights, config.group_size)
+        aw, _ = to_groups(act_weights, config.group_size, libraries=L)
+    G, group_size = groups.shape
+    library = library_index(L, G // L)
+    S = stack.num_patterns
 
-    norm = normalize_groups(groups, meta.tensor_exp, config)
+    norm = normalize_groups(groups, stack.tensor_exp, config)
     if config.pattern_select == "minmax":
         pattern_ids, symbols, _ = select_patterns_minmax(
-            norm.normalized, norm.absmax_pos, meta.patterns
+            norm.normalized, norm.absmax_pos, stack.patterns
         )
-    else:
-        pattern_ids, symbols = select_patterns_mse(
-            norm.normalized, norm.absmax_pos, meta.patterns,
-            scale_index=config.scale_index, act_weights=aw,
-            max_candidates=config.mse_candidates,
-        )
+    else:  # the offline selector, one library at a time
+        picks = []
+        for lib in range(L):
+            part = slice(lib * G // L, (lib + 1) * G // L)
+            picks.append(select_patterns_mse(
+                norm.normalized[part], norm.absmax_pos[part], stack.patterns[lib],
+                scale_index=config.scale_index,
+                act_weights=None if aw is None else aw[part],
+                max_candidates=config.mse_candidates,
+            ))
+        pattern_ids = np.concatenate([ids for ids, _ in picks])
+        symbols = np.concatenate([syms for _, syms in picks])
 
-    G, group_size = symbols.shape
     rows = np.arange(G)[:, None]
     cols = np.arange(group_size)
     coded_mask = symbols != SCALE_SYMBOL
     safe_syms = np.where(coded_mask, symbols, 0)
-    lengths = meta.code_lengths  # (H, num_symbols) int64
+    lengths = stack.code_lengths  # (L, H, num_symbols) int64
+    H, num_symbols = lengths.shape[1:]
+    # Library-major lookup tables and every group's rows in them.
+    length_table = lengths.reshape(L * H, num_symbols)
+    pattern_table = stack.patterns.reshape(L * S, -1)
+    book_base = library * H
+    pattern_row = pattern_ids + library * S
     header_bits = config.header_bits
 
     # Choose the codebook that encodes each group's nearest-symbol stream
@@ -140,21 +179,22 @@ def plan_encoding(
     bins = SCALE_SYMBOL + 1
     hist = np.bincount(
         (rows * bins + symbols).ravel(), minlength=G * bins
-    ).reshape(G, bins)[:, : lengths.shape[1]]
-    totals = lengths @ hist.T  # (H, G)
-    codebook_ids = totals.argmin(axis=0)
-    bits_used = totals.min(axis=0) + header_bits
+    ).reshape(L, G // L, bins)[:, :, :num_symbols]
+    totals = lengths @ hist.transpose(0, 2, 1)  # (L, H, G / L)
+    codebook_ids = totals.argmin(axis=1).ravel()
+    bits_used = totals.min(axis=1).ravel() + header_bits
 
     def payload_bits(sel: np.ndarray) -> np.ndarray:
         """Block bits of groups ``sel`` under their current symbols/codebook."""
-        value_bits = lengths[codebook_ids[sel][:, None], safe_syms[sel]]
+        book = codebook_ids[sel] + book_base[sel]
+        value_bits = length_table[book[:, None], safe_syms[sel]]
         return (value_bits * coded_mask[sel]).sum(axis=1) + header_bits
 
     def centroid_dist2(sel: np.ndarray) -> np.ndarray:
         """Squared distance of each value of groups ``sel`` to each centroid
         of its pattern, (n, group_size, 15) — built only for the groups rate
         control touches, never for the whole tensor."""
-        cents = meta.patterns[pattern_ids[sel]]
+        cents = pattern_table[pattern_row[sel]]
         return (norm.normalized[sel][:, :, None] - cents[:, None, :]) ** 2
 
     # Per-group rate control: groups whose nearest-centroid stream fits
@@ -177,7 +217,7 @@ def plan_encoding(
         n = over.size
         local = np.arange(n)[:, None]
         dist2 = centroid_dist2(over)
-        cb = lengths[codebook_ids[over]]  # (n, 15)
+        cb = length_table[codebook_ids[over] + book_base[over]]  # (n, 15)
         cur = safe_syms[over]  # (n, gs)
         cur_len = cb[local, cur]  # (n, gs)
         cur_dist = dist2[local, cols, cur]
@@ -213,13 +253,14 @@ def plan_encoding(
     # every value to the nearest of that codebook's minimum-length symbols.
     over = (bits_used > config.block_bits).nonzero()[0]
     if over.size:
-        min_len = lengths.min(axis=1)  # (H,)
+        min_len = lengths.min(axis=2)[library[over]]  # (n, H), own library
+        own = codebook_ids[over]
         forced_cb = np.where(
-            min_len[codebook_ids[over]] == min_len.min(),
-            codebook_ids[over],
-            int(np.argmin(min_len)),
+            min_len[np.arange(over.size), own] == min_len.min(axis=1),
+            own,
+            min_len.argmin(axis=1),
         )
-        cb = lengths[forced_cb]  # (n, num_symbols)
+        cb = length_table[forced_cb + book_base[over]]  # (n, num_symbols)
         is_min = cb == cb.min(axis=1, keepdims=True)
         cost = np.where(is_min[:, None, :], centroid_dist2(over), np.inf)
         forced = np.argmin(cost, axis=2)
@@ -238,7 +279,7 @@ def plan_encoding(
     # Outlier padding: leftover bits hold (position, correction) slots for
     # the values with the largest (activation-weighted) residuals of the
     # normalized-domain reconstruction from the final symbols.
-    recon_norm = meta.patterns[pattern_ids[:, None], safe_syms]
+    recon_norm = pattern_table[pattern_row[:, None], safe_syms]
     resid = norm.normalized - recon_norm.astype(np.float32, copy=False)
     # A non-finite residual (a NaN/inf input value) has no correction to
     # store: left in, it would claim an outlier slot whose 8-bit field
@@ -274,17 +315,31 @@ def plan_encoding(
         corrections=corrections,
         clipped_symbols=clipped,
         padded_outliers=padded,
+        library=library if meta is stack else None,
     )
 
 
 def reconstruct(
-    meta: TensorMeta, plan: EncodingPlan, apply_outliers: bool = True
+    meta: TensorMeta | MetaStack, plan: EncodingPlan, apply_outliers: bool = True
 ) -> np.ndarray:
-    """Shared vectorized reconstruction (used by every decode path)."""
-    config = meta.config
+    """Shared vectorized reconstruction (used by every decode path).
+
+    A stacked plan reconstructs every group against its own library and
+    returns ``plan.shape`` (a plan from :func:`plan_encoding` over a
+    stack: the library axis first, each library's padding stripped).
+    """
+    stack = meta.stack
+    config = stack.config
+    library = plan.library
     coded_mask = plan.symbols != SCALE_SYMBOL
     safe_syms = np.where(coded_mask, plan.symbols, 0)
-    recon = meta.patterns[plan.pattern_ids[:, None], safe_syms].astype(np.float32)
+    pattern_row = plan.pattern_ids
+    exp_scale = stack.exp_scale[0]
+    if library is not None:
+        pattern_row = pattern_row + library * stack.num_patterns
+        exp_scale = stack.exp_scale[library][:, None]
+    pattern_table = stack.patterns.reshape(-1, stack.patterns.shape[2])
+    recon = pattern_table[pattern_row[:, None], safe_syms].astype(np.float32)
     if apply_outliers:
         recon = recon + (
             plan.corrections.astype(np.float32)
@@ -294,11 +349,10 @@ def reconstruct(
     recon = recon * abs_scales[:, None]
     rows = np.arange(plan.num_groups)
     recon[rows, plan.scale_pos] = plan.scales
-    recon = recon * np.float32(2.0**meta.tensor_exp)
-    flat = recon.ravel()
+    recon = recon * exp_scale
     if plan.pad:
-        flat = flat[: -plan.pad]
-    return flat.reshape(plan.shape)
+        recon = recon.reshape(stack.num_libraries, -1)[:, : -plan.pad]
+    return recon.reshape(plan.shape)
 
 
 def simulate_roundtrip(
@@ -320,22 +374,27 @@ def simulate_roundtrip(
 
 
 class EccoTensorCodec:
-    """Bit-exact block codec for one tensor's shared metadata.
+    """Bit-exact block codec for one tensor's shared metadata, or for a
+    :class:`MetaStack` of several (whose tensors carry a leading library
+    axis; see :func:`plan_encoding`).
 
     The Huffman decode tables are derived from the metadata once, lazily,
     and cached on the codec instance — never rebuilt per ``decode`` call.
     """
 
-    def __init__(self, meta: TensorMeta):
+    def __init__(self, meta: TensorMeta | MetaStack):
         self.meta = meta
         self._window_tables: tuple | None = None
 
     @property
     def window_tables(self) -> tuple:
-        """Speculative-window decode tables for the vectorized path."""
+        """Speculative-window decode tables for the vectorized path, one
+        row per codebook of every library."""
         if self._window_tables is None:
+            lengths = self.meta.codebook_lengths
             self._window_tables = build_window_tables(
-                self.meta.codebook_lengths, int(self.meta.config.max_code_len)
+                lengths.reshape(-1, lengths.shape[-1]),
+                int(self.meta.config.max_code_len),
             )
         return self._window_tables
 
@@ -358,6 +417,7 @@ class EccoTensorCodec:
             plan.corrections,
             meta.code_lengths,
             meta.code_values,
+            library=plan.library,
         )
         size = float(math.prod(plan.shape))
         return CompressedTensor(
@@ -369,17 +429,31 @@ class EccoTensorCodec:
         )
 
     def plan_from_blocks(
-        self, blocks: np.ndarray, shape: tuple, pad: int
+        self,
+        blocks: np.ndarray,
+        shape: tuple,
+        pad: int,
+        library: np.ndarray | None = None,
     ) -> EncodingPlan:
-        """Deserialize a block stack back into an :class:`EncodingPlan`."""
+        """Deserialize a block stack back into an :class:`EncodingPlan`.
+
+        ``library`` gives a stacked codec's blocks their libraries; left
+        out, a stack's blocks split evenly over its libraries in order.
+        """
         meta = self.meta
         G = int(blocks.shape[0])
+        L = meta.stack.num_libraries
+        if library is None and meta is meta.stack:
+            if G % L:
+                raise ValueError(f"{G} blocks do not split over {L} libraries")
+            library = library_index(L, G // L)
         (scales, scale_pos, pattern_ids, codebook_ids, symbols, corrections) = (
             unpack_blocks(
                 meta.config,
                 blocks,
                 meta.codebook_lengths,
                 tables=self.window_tables,
+                library=library,
             )
         )
         if (pattern_ids >= meta.num_patterns).any():
@@ -395,6 +469,7 @@ class EccoTensorCodec:
             corrections=corrections,
             clipped_symbols=np.zeros(G, dtype=np.int64),
             padded_outliers=np.zeros(G, dtype=np.int64),
+            library=library,
         )
 
     def decode(self, compressed: CompressedTensor) -> np.ndarray:

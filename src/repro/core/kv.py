@@ -5,15 +5,24 @@ library; ``KVCacheStream`` is the per-(layer, head) cache that compresses
 every generated token's key and value vectors as they are appended and
 serves decompressed reads back to attention.
 
+Attention always reads keys and values together, so the stream codes
+them together: :meth:`KVCacheCodec.pair_with` stacks the key and value
+libraries into one two-library codec (see
+:class:`~repro.core.patterns.MetaStack`), an append plans and packs both
+sides in one call and a read unpacks and reconstructs both sides' fresh
+segments in one call.  Each block keeps its own side's ids, so the bytes
+are exactly those of two one-side calls; only the codec's per-call cost
+is paid once instead of twice.
+
 The decode loop is amortized O(new tokens): per side the stream keeps a
 read cursor (segments and tokens already decoded) and a decoded buffer
 grown geometrically.  A read decodes only the segments past the cursor,
 writes them behind the rows already there and returns a read-only view of
 the filled prefix — no walk over the segment list and no copy of the
 rows decoded earlier, so its cost does not grow with the context.
-``invalidate_decoded`` rolls the cursor back; only the decode-cache
-bench and the tests call it — nothing in ``repro.serve`` does, because
-``coalesce`` keeps the cursor on a boundary itself.
+``invalidate_decoded`` rolls the cursor back; ``coalesce`` keeps the
+cursor on a boundary itself, so ``repro.serve`` calls it only to drop a
+finished request's decoded rows.
 
 The stream does not know the storage format: it asks its codec for a
 segment's ``token_shape``, to ``merge`` segments and to ``decode_all``
@@ -21,11 +30,12 @@ them.  :class:`KVCacheCodec` answers for Ecco blocks; the serving fp16
 baseline answers with raw fp16 arrays, so both formats share one store.
 
 The codec's cost is mostly per call, not per group, so callers batch:
-``encode_tokens`` over many tokens (of many streams) is cut back into
+``encode_sides`` over many tokens (of many streams) is cut back into
 per-stream segments by :func:`slice_token_segment`, and
-:func:`read_streams` decodes the pending segments of many streams with
-one ``decode_all``.  Both are bit-exact against the one-stream calls
-because every group is planned, packed and unpacked on its own.
+:func:`read_streams` decodes the pending segments of both sides of many
+streams with one ``decode_sides``.  Both are bit-exact against the
+one-stream, one-side calls because every group is planned, packed and
+unpacked on its own.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from .codec import CompressedTensor, EccoTensorCodec, plan_encoding, reconstruct
-from .patterns import TensorMeta
+from .patterns import MetaStack, TensorMeta
 
 __all__ = [
     "KVCacheCodec",
@@ -45,6 +55,9 @@ __all__ = [
     "slice_token_segment",
     "split_token_segment",
 ]
+
+#: A stream's two sides, in the order the pair codec stacks them.
+SIDES = ("keys", "values")
 
 
 def merge_token_segments(segments: list[CompressedTensor]) -> CompressedTensor:
@@ -163,31 +176,35 @@ def split_token_segment(
 
 
 class KVCacheCodec(EccoTensorCodec):
-    """Block codec bound to an online-calibrated KV pattern library."""
+    """Block codec bound to an online-calibrated KV pattern library, or
+    to a stack of them (:meth:`pair_with`: a layer's keys and values).
 
-    def __init__(self, meta: TensorMeta):
+    :meth:`encode_sides` and :meth:`decode_sides` take one batch per
+    library; ``encode_tokens``, ``decode_all`` and ``decode_tokens`` are
+    a one-library codec's single-side forms.
+    """
+
+    def __init__(self, meta: TensorMeta | MetaStack):
         if meta.config.pattern_select != "minmax":
             raise ValueError(
                 "KV codecs use the hardware min/max selector; calibrate with "
                 "calibrate_kv_meta()"
             )
         super().__init__(meta)
+        self._pair: tuple | None = None
 
-    def _pad_tokens(self, vectors: np.ndarray) -> np.ndarray:
-        """Zero-pad each token row to a whole number of groups.
+    def pair_with(self, other: "KVCacheCodec") -> "KVCacheCodec":
+        """The two-library codec that codes this codec's side and
+        ``other``'s in one call (built on first use, kept for the last
+        partner asked for).
 
-        Per-token padding (rather than padding the flattened batch once)
-        keeps every token's group boundaries — and therefore its packed
-        blocks — identical to what the one-token-at-a-time path produces.
+        Its blocks carry each side's own pattern and codebook ids, so
+        they are byte-identical to this codec's and ``other``'s.
         """
-        group_size = self.meta.config.group_size
-        pad = (-vectors.shape[1]) % group_size
-        if not pad:
-            return vectors
-        return np.concatenate(
-            [vectors, np.zeros((vectors.shape[0], pad), dtype=vectors.dtype)],
-            axis=1,
-        )
+        if self._pair is None or self._pair[0] is not other:
+            pair = KVCacheCodec(MetaStack((self.meta, other.meta)))
+            self._pair = (other, pair)
+        return self._pair[1]
 
     def encode_token(self, vector: np.ndarray) -> CompressedTensor:
         """Compress one token's K or V vector (padded to whole groups)."""
@@ -196,21 +213,61 @@ class KVCacheCodec(EccoTensorCodec):
         )
 
     def encode_tokens(self, vectors: np.ndarray) -> CompressedTensor:
-        """Compress a (num_tokens, dim) batch in one planning pass.
+        """Compress a (num_tokens, dim) batch in one planning pass: the
+        one-library case of :meth:`encode_sides`."""
+        return self.encode_sides([vectors])[0]
 
-        All tokens' groups go through a single :func:`plan_encoding` call
-        and one vectorized pack, instead of one Python iteration per
-        token; the emitted blocks are byte-identical to per-token encodes.
+    def encode_sides(self, rows: Sequence[np.ndarray]) -> list[CompressedTensor]:
+        """One token segment per library from one plan and one pack.
+
+        ``rows`` holds a (num_tokens, dim) batch per library of this codec
+        — one for a plain codec, keys then values for a :meth:`pair_with`
+        codec — all of one shape.  Every token's groups are planned on
+        their own, so each segment is byte-identical to per-token encodes
+        under its own library.
         """
-        vectors = np.asarray(vectors, dtype=np.float32)
-        if vectors.ndim == 1:
-            vectors = vectors.reshape(1, -1)
-        num_tokens, dim = vectors.shape
-        padded = self._pad_tokens(vectors)
-        plan = plan_encoding(self.meta, padded)
-        compressed = self.encode_plan(plan)
-        compressed.token_shape = (num_tokens, dim)
-        return compressed
+        stack = self.meta.stack
+        batches = []
+        for batch in rows:
+            batch = np.asarray(batch, dtype=np.float32)
+            batches.append(batch.reshape(1, -1) if batch.ndim == 1 else batch)
+        if len(batches) != stack.num_libraries:
+            raise ValueError(
+                f"{len(batches)} batches for a {stack.num_libraries}-library codec"
+            )
+        if len({batch.shape for batch in batches}) != 1:
+            raise ValueError(
+                "sides coded in one call must have one shape; got "
+                + ", ".join(str(batch.shape) for batch in batches)
+            )
+        num_tokens, dim = batches[0].shape
+        # Each token row zero-padded to whole groups on its own (not the
+        # flattened batch once), so every token's groups — and blocks —
+        # are those the one-token-at-a-time path produces.
+        group_size = stack.config.group_size
+        padded_dim = -(-dim // group_size) * group_size
+        if padded_dim == dim and len(batches) == 1:
+            padded = batches[0][None]  # whole groups: plan the caller's rows
+        else:
+            padded = np.zeros((len(batches), num_tokens, padded_dim), np.float32)
+            for lib, batch in enumerate(batches):
+                padded[lib, :, :dim] = batch
+        plan = plan_encoding(self.meta, padded if self.meta is stack else padded[0])
+        blocks = self.encode_plan(plan).blocks
+        per_side = plan.num_groups // len(batches)
+        size = float(num_tokens * padded_dim)
+        segments = []
+        for lib in range(len(batches)):
+            part = slice(lib * per_side, (lib + 1) * per_side)
+            segments.append(CompressedTensor(
+                blocks=blocks[part],
+                shape=(num_tokens, padded_dim),
+                pad=0,
+                clipping_ratio=float(plan.clipped_symbols[part].sum()) / size,
+                padding_ratio=float(plan.padded_outliers[part].sum()) / size,
+                token_shape=(num_tokens, dim),
+            ))
+        return segments
 
     def decode_tokens(self, compressed: CompressedTensor) -> np.ndarray:
         """Decode a batched-token segment back to (num_tokens, dim)."""
@@ -234,36 +291,70 @@ class KVCacheCodec(EccoTensorCodec):
         return merge_token_segments(segments)
 
     def decode_all(self, segments: list[CompressedTensor]) -> np.ndarray:
-        """Decode many token segments with one vectorized unpack.
+        """Decode many token segments with one vectorized unpack: the
+        one-library case of :meth:`decode_sides`."""
+        return self.decode_sides([segments])[0]
 
-        Stacks every segment's blocks and runs a single
-        :meth:`plan_from_blocks` + reconstruction over all of them, so the
-        per-call overhead is paid once regardless of segment count.
+    def decode_sides(
+        self, segments: Sequence[Sequence[CompressedTensor]]
+    ) -> list[np.ndarray]:
+        """Each library's token segments decoded to (num_tokens, dim),
+        all libraries' blocks through one :meth:`plan_from_blocks` and one
+        reconstruction, so the per-call overhead is paid once whatever
+        the segment and library count.  A library with no segments gets
+        an empty (0, 0) array; the libraries' token counts may differ.
         """
-        if not segments:
-            return np.zeros((0, 0), dtype=np.float32)
-        dims = {c.token_shape[1] for c in segments if c.token_shape is not None}
-        if len(dims) != 1 or any(c.token_shape is None for c in segments):
-            raise ValueError("segments must be token batches of one dim")
-        (dim,) = dims
-        blocks = (
-            segments[0].blocks
-            if len(segments) == 1
-            else np.concatenate([c.blocks for c in segments], axis=0)
+        stack = self.meta.stack
+        if len(segments) != stack.num_libraries:
+            raise ValueError(
+                f"{len(segments)} segment lists for a "
+                f"{stack.num_libraries}-library codec"
+            )
+        blocks: list[np.ndarray] = []
+        groups: list[int] = []
+        shapes: list[tuple[int, int]] = []
+        for side in segments:
+            num_tokens = dim = count = 0
+            for segment in side:
+                tokens, seg_dim = self.token_shape(segment)
+                if dim and seg_dim != dim:
+                    raise ValueError("segments must be token batches of one dim")
+                num_tokens += tokens
+                dim = seg_dim
+                count += segment.blocks.shape[0]
+                blocks.append(segment.blocks)
+            groups.append(count)
+            shapes.append((num_tokens, dim))
+        if not blocks:
+            return [np.zeros((0, 0), dtype=np.float32) for _ in segments]
+        stacked = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)
+        library = None
+        if self.meta is stack:
+            library = np.repeat(np.arange(len(groups)), groups)
+        plan = self.plan_from_blocks(
+            stacked, (stacked.shape[0], stack.config.group_size), 0, library=library
         )
-        group_size = self.meta.config.group_size
-        num_tokens = sum(c.token_shape[0] for c in segments)
-        padded_dim = blocks.shape[0] * group_size // num_tokens
-        plan = self.plan_from_blocks(blocks, (num_tokens, padded_dim), 0)
-        return reconstruct(self.meta, plan)[:, :dim]
+        values = reconstruct(self.meta, plan)
+        out = []
+        start = 0
+        for (num_tokens, dim), count in zip(shapes, groups):
+            part = values[start : start + count]
+            out.append(
+                part.reshape(num_tokens, -1)[:, :dim]
+                if num_tokens
+                else np.zeros((0, 0), dtype=np.float32)
+            )
+            start += count
+        return out
 
 
 class KVCacheStream:
     """An append-only compressed KV cache for one attention head group.
 
     Reads return (num_tokens, dim) arrays — the shape attention consumes.
-    Decoded rows are kept: ``read_keys``/``read_values`` decode only the
-    segments appended since the previous read, so a T-step decode loop
+    Decoded rows are kept: a read decodes only the segments appended since
+    the previous read — both sides' at once, so ``read_keys`` followed by
+    ``read_values`` is one codec call — and a T-step decode loop
     performs O(T) total block decodes instead of O(T^2), and a read costs
     O(fresh segments) whatever the context length.  The ``decoded_tokens``
     counters expose exactly how much decode work was done, and
@@ -273,13 +364,17 @@ class KVCacheStream:
     the encoder's own reconstruction.
 
     The two codecs are anything with ``token_shape``, ``merge`` and
-    ``decode_all`` over one segment type: :class:`KVCacheCodec` for Ecco
-    blocks, ``repro.serve.storage.Fp16KVBackend`` for raw fp16 rows.
+    ``pair_with`` over one segment type, the pair answering
+    ``encode_sides`` and ``decode_sides`` for both sides at once:
+    :class:`KVCacheCodec` for Ecco blocks,
+    ``repro.serve.storage.Fp16KVBackend`` for raw fp16 rows.
     """
 
     def __init__(self, key_codec: KVCacheCodec, value_codec: KVCacheCodec):
         self.key_codec = key_codec
         self.value_codec = value_codec
+        #: Codes and decodes both sides in one call.
+        self.pair_codec = key_codec.pair_with(value_codec)
         self._segments: dict[str, list[CompressedTensor]] = {
             "keys": [], "values": []
         }
@@ -324,7 +419,7 @@ class KVCacheStream:
             if covered + tokens > token_limit:
                 return idx, covered
             covered += tokens
-        return len(segments), covered
+        return len(self._segments[side]), covered
 
     def append(self, key: np.ndarray, value: np.ndarray) -> None:
         """Append one token's K and V vectors."""
@@ -346,8 +441,7 @@ class KVCacheStream:
                 f"keys and values must cover the same tokens: got "
                 f"{keys.shape[0]} key tokens but {values.shape[0]} value tokens"
             )
-        ck = self.key_codec.encode_tokens(keys)
-        cv = self.value_codec.encode_tokens(values)
+        ck, cv = self.pair_codec.encode_sides((keys, values))
         self.append_compressed(ck, cv)
 
     def append_compressed(
@@ -443,16 +537,17 @@ class KVCacheStream:
     def read_keys(self) -> np.ndarray:
         """The decoded (num_tokens, dim) key cache attention reads.
 
-        Only tokens appended since the last read are decoded; the rest
-        are already in the decoded buffer.  The returned array is a
-        read-only view of that buffer, not a copy, and later appends,
-        invalidations and rewrites never change it.
+        Only tokens appended since the last read are decoded (values
+        too, in the same call); the rest are already in the decoded
+        buffer.  The returned array is a read-only view of that buffer,
+        not a copy, and later appends, invalidations and rewrites never
+        change it.
         """
-        return read_streams([self], "keys")[0]
+        return read_streams([self])[0][0]
 
     def read_values(self) -> np.ndarray:
         """The decoded (num_tokens, dim) value cache attention reads."""
-        return read_streams([self], "values")[0]
+        return read_streams([self])[1][0]
 
     def invalidate_decoded(self, from_token: int | None = None) -> None:
         """Drop cached decoded state from ``from_token`` onward.
@@ -465,7 +560,7 @@ class KVCacheStream:
         untouched either way.
         """
         limit = 0 if from_token is None else max(from_token, 0)
-        for side in ("keys", "values"):
+        for side in SIDES:
             self._truncate_cache(side, limit)
 
     def coalesce(
@@ -493,7 +588,7 @@ class KVCacheStream:
         merged_v = self.value_codec.merge(self._segments["values"][idx:])
         self._segments["keys"][idx:] = [merged_k]
         self._segments["values"][idx:] = [merged_v]
-        for side in ("keys", "values"):
+        for side in SIDES:
             if self._cached_tokens[side] == self._num_tokens:
                 self._cached_segments[side] = idx + 1
             else:
@@ -502,31 +597,35 @@ class KVCacheStream:
 
 
 def read_streams(
-    streams: Sequence[KVCacheStream], side: str
-) -> list[np.ndarray]:
-    """Each stream's decoded ``(num_tokens, dim)`` cache of one side, from
-    a single ``decode_all``.
+    streams: Sequence[KVCacheStream],
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each stream's decoded ``(num_tokens, dim)`` keys and values, from
+    a single ``decode_sides``.
 
-    Gathers every stream's segments past its read cursor into one
-    :meth:`KVCacheCodec.decode_all`, so the codec's per-call cost is paid
-    once per batch instead of once per stream, and scatters the rows back
-    behind each stream's cursor.  Every group decodes independently, so
-    the rows are exactly those a read of each stream alone produces;
-    :meth:`KVCacheStream.read_keys` is the one-stream case.  The streams
-    must share one codec (a serving backend's requests do, per layer).
+    Gathers both sides' segments past every stream's read cursor into one
+    call of the streams' pair codec, so the codec's per-call cost is paid
+    once per batch instead of once per stream and side, and scatters the
+    rows back behind each stream's cursors.  Every group decodes
+    independently, so the rows are exactly those a read of each stream
+    and side alone produces; :meth:`KVCacheStream.read_keys` is the
+    one-stream case.  The streams must share one pair codec (a serving
+    backend's requests do, per layer).
     """
-    codec = streams[0]._codec(side)
-    fresh: list[CompressedTensor] = []
+    codec = streams[0].pair_codec
+    fresh: tuple[list[CompressedTensor], list[CompressedTensor]] = ([], [])
     for stream in streams:
-        if stream._codec(side) is not codec:
+        if stream.pair_codec is not codec:
             raise ValueError("streams read together must share one codec")
-        fresh += stream._segments[side][stream._cached_segments[side]:]
-    if fresh:
-        rows = codec.decode_all(fresh)
-        start = 0
-        for stream in streams:
-            end = start + len(stream) - stream._cached_tokens[side]
-            if end > start:
-                stream._store_decoded(side, rows[start:end])
-            start = end
-    return [stream._decoded_view(side) for stream in streams]
+        for pending, side in zip(fresh, SIDES):
+            pending += stream._segments[side][stream._cached_segments[side]:]
+    if fresh[0] or fresh[1]:
+        for rows, side in zip(codec.decode_sides(fresh), SIDES):
+            start = 0
+            for stream in streams:
+                end = start + len(stream) - stream._cached_tokens[side]
+                if end > start:
+                    stream._store_decoded(side, rows[start:end])
+                start = end
+    keys = [stream._decoded_view("keys") for stream in streams]
+    values = [stream._decoded_view("values") for stream in streams]
+    return keys, values

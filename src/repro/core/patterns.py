@@ -22,12 +22,14 @@ from .grouping import normalize_groups, tensor_exponent, to_groups
 from .huffman import canonical_codes, limited_code_lengths
 
 __all__ = [
+    "MetaStack",
     "TensorMeta",
     "fit_tensor_meta",
     "calibrate_kv_meta",
     "select_patterns_mse",
     "select_patterns_minmax",
     "nearest_symbols",
+    "library_index",
 ]
 
 #: Symbol value reserved for the group's scale element (not entropy-coded).
@@ -54,10 +56,19 @@ class TensorMeta:
         # tensor, so :meth:`metadata_bits` does not count them.
         self.code_lengths = self.codebook_lengths.astype(np.int64)
         self.code_values = self.codebook_codes.astype(np.int64)
+        self._stack: MetaStack | None = None
 
     @property
     def num_patterns(self) -> int:
         return int(self.patterns.shape[0])
+
+    @property
+    def stack(self) -> "MetaStack":
+        """This metadata as a one-library :class:`MetaStack` (built once):
+        the form the codec's planning and reconstruction run on."""
+        if self._stack is None:
+            self._stack = MetaStack((self,))
+        return self._stack
 
     def metadata_bits(self) -> int:
         """Size of the shared metadata (what rides along with the tensor).
@@ -69,6 +80,69 @@ class TensorMeta:
         pattern_bits = self.patterns.size * 16
         codebook_bits = self.codebook_lengths.size * 4
         return pattern_bits + codebook_bits + 8 + 16
+
+
+class MetaStack:
+    """Several tensors' shared metadata on a leading *library* axis.
+
+    A codec call over a stack plans, packs, unpacks and reconstructs the
+    groups of every library at once — a layer's keys and values are a
+    two-library stack — and codes each group against its own library's
+    patterns, codebooks and tensor exponent.  Blocks store the
+    library-local pattern and codebook ids, so every block is
+    byte-identical to the one its library's own metadata emits.  A
+    :class:`TensorMeta` is the one-library case (:attr:`TensorMeta.stack`).
+
+    The libraries must share one config and one library size (pattern
+    and codebook counts); stacked arrays are ``(L, S, 15)`` patterns and
+    ``(L, H, 15)`` codebooks, ``tensor_exp`` is ``(L,)``.
+    """
+
+    def __init__(self, metas: tuple[TensorMeta, ...]):
+        if not metas:
+            raise ValueError("a stack needs at least one library")
+        config = metas[0].config
+        shape = (metas[0].patterns.shape, metas[0].codebook_lengths.shape)
+        for meta in metas[1:]:
+            if meta.config != config:
+                raise ValueError("stacked libraries must share one config")
+            if (meta.patterns.shape, meta.codebook_lengths.shape) != shape:
+                raise ValueError(
+                    "stacked libraries must have equal pattern and "
+                    "codebook counts"
+                )
+        self.config = config
+        self.patterns = np.stack([meta.patterns for meta in metas])
+        self.codebook_lengths = np.stack([m.codebook_lengths for m in metas])
+        self.code_lengths = np.stack([meta.code_lengths for meta in metas])
+        self.code_values = np.stack([meta.code_values for meta in metas])
+        self.tensor_exp = np.array([m.tensor_exp for m in metas], np.int64)
+        #: ``2 ** tensor_exp`` per library, the reconstruction's last scale.
+        self.exp_scale = (2.0 ** self.tensor_exp.astype(np.float64)).astype(
+            np.float32
+        )
+
+    @property
+    def stack(self) -> "MetaStack":
+        return self
+
+    @property
+    def num_libraries(self) -> int:
+        return int(self.patterns.shape[0])
+
+    @property
+    def num_patterns(self) -> int:
+        """Patterns per library (``S``)."""
+        return int(self.patterns.shape[1])
+
+
+@lru_cache(maxsize=64)
+def library_index(libraries: int, groups_per_library: int) -> np.ndarray:
+    """The library of every group of a library-major stack whose
+    libraries hold ``groups_per_library`` groups each (read-only)."""
+    index = np.repeat(np.arange(libraries), groups_per_library)
+    index.flags.writeable = False
+    return index
 
 
 def nearest_symbols(values: np.ndarray, pattern: np.ndarray) -> np.ndarray:
@@ -167,7 +241,13 @@ def select_patterns_minmax(
     simplified in-pipeline selection (no per-value search like the
     offline MSE path), at a small fidelity cost the §5 ablation
     quantifies.  Returns ``(pattern_ids, symbols, fitness)``.
+
+    ``patterns`` is one library's ``(S, 15)`` or a stack's ``(L, S, 15)``;
+    a stack's groups are library-major, ``G / L`` per library, and each
+    picks among its own library's patterns (ids are library-local).
     """
+    stacked = patterns if patterns.ndim == 3 else patterns[None]
+    L, S, num_values = stacked.shape
     num_groups, group_size = normalized.shape
     rows = np.arange(num_groups)
     # The scale slot takes the group median (what ``np.median`` returns,
@@ -182,25 +262,30 @@ def select_patterns_minmax(
     work = normalized.copy()
     work[rows, absmax_pos] = med
     work.sort(axis=1)
-    landmarks = work[:, _landmark_index(group_size, patterns.shape[1])]
-    fitness = ((landmarks[:, None, :] - patterns[None, :, :]) ** 2).sum(axis=2)
+    landmarks = work[:, _landmark_index(group_size, num_values)]
+    fitness = (
+        (landmarks.reshape(L, -1, 1, num_values) - stacked[:, None]) ** 2
+    ).sum(axis=3).reshape(num_groups, S)
     # The two best-fitness patterns go through a trial quantization and
     # the lower-error one wins (the compressor's parallel encoders make
     # the second trial free); everything stays one pipeline pass.
-    if patterns.shape[0] > 1:
+    if S > 1:
         cand = np.argpartition(fitness, 1, axis=1)[:, :2]
     else:
         cand = np.zeros((num_groups, 1), dtype=np.int64)
     mask = np.ones_like(normalized, dtype=bool)
     mask[rows, absmax_pos] = False
-    pats = patterns[cand]  # (G, trials, 15)
+    # Candidate rows of the library-major (L * S, 15) pattern table.
+    cand_rows = cand + (library_index(L, num_groups // L) * S)[:, None]
+    table = stacked.reshape(L * S, num_values)
+    pats = table[cand_rows]  # (G, trials, 15)
     mids = (pats[:, :, 1:] + pats[:, :, :-1]) / 2.0
     # A value's symbol is how many midpoints lie below it, counted along
     # the leading axis: 14 whole-array adds instead of a reduction per value.
     syms = (
         normalized[None, :, None, :] > mids.transpose(2, 0, 1)[:, :, :, None]
     ).sum(axis=0)
-    cvals = patterns[cand[:, :, None], syms]
+    cvals = table[cand_rows[:, :, None], syms]
     cost = ((normalized[:, None, :] - cvals) ** 2 * mask[:, None, :]).sum(axis=2)
     # First strictly-lowest trial wins; a group none of whose trials has a
     # finite cost (NaN input) keeps pattern 0 and all-zero symbols.

@@ -41,11 +41,12 @@ __all__ = ["ServingEngine"]
 class _PoolBatchKV:
     """Adapter: the running batch's RequestKVs behind the BatchKV protocol.
 
-    The codec is called per step, not per request: ``append`` encodes the
-    step's R new rows with one ``backend.encode_rows`` per side and hands
-    each request its one-token slice; ``read`` decodes every request's
-    not-yet-decoded segments with one :func:`~repro.core.read_streams` per
-    side (both storage formats keep a ``KVCacheStream`` per layer).
+    The codec is called per step and layer, not per request or side:
+    ``append`` encodes the step's R new key and value rows with one
+    ``backend.encode_pair`` and hands each request its one-token slices;
+    ``read`` decodes every request's not-yet-decoded segments of both
+    sides with one :func:`~repro.core.read_streams` (both storage formats
+    keep a ``KVCacheStream`` per layer).
     """
 
     def __init__(self, requests: list[Request]):
@@ -56,20 +57,16 @@ class _PoolBatchKV:
     def append(self, layer: int, keys: np.ndarray, values: np.ndarray) -> None:
         backend = self.backend
         ones = (1,) * len(self.kvs)
-        k_parts = backend.slice_segment(
-            backend.encode_rows(layer, "keys", keys), ones
-        )
-        v_parts = backend.slice_segment(
-            backend.encode_rows(layer, "values", values), ones
-        )
+        k_seg, v_seg = backend.encode_pair(layer, keys, values)
+        k_parts = backend.slice_segment(k_seg, ones)
+        v_parts = backend.slice_segment(v_seg, ones)
         for r, kv in enumerate(self.kvs):
             kv.append_token_layer(
                 layer, keys[r], values[r], k_parts[r], v_parts[r]
             )
 
     def read(self, layer: int):
-        streams = [kv.streams[layer] for kv in self.kvs]
-        return read_streams(streams, "keys"), read_streams(streams, "values")
+        return read_streams([kv.streams[layer] for kv in self.kvs])
 
 
 class _ChunkIngestKV:

@@ -8,17 +8,22 @@ so reads decode (for fp16: cast to float32) only the rows appended since
 the previous read, and a preempted request re-admits without touching
 its history again.  The backends differ only in the bytes they store.
 
-What a "segment" is belongs to the backend: ``encode_rows`` turns a
-batch of rows into one, ``slice_segment`` cuts it at token boundaries,
-and the backend's per-layer codecs merge and decode segments for the
-streams (:func:`~repro.core.read_streams` decodes many requests'
-segments together).  The codec is therefore called once per (layer,
-side) per *call site* — per engine decode step over the R running
-requests, per whole prompt, per prefill chunk — never once per request
-or per page: the rows are encoded in one batch and each request, page
-and tail is handed its slice.  The codec plans every token's groups on
-their own (per-token group padding), so a slice holds exactly the bytes
-a call over its rows alone would emit.
+What a "segment" is belongs to the backend: ``encode_pair`` turns a
+batch of a layer's key and value rows into one segment per side
+(``encode_rows`` does one side), ``slice_segment`` cuts a segment at
+token boundaries, and the backend's per-layer codecs merge and decode
+segments for the streams (:func:`~repro.core.read_streams` decodes both
+sides of many requests' segments together).  The codec is therefore
+called once per layer per *call site* — per engine decode step over the
+R running requests, per prefill chunk, per warm suffix — with keys and
+values going through the layer's pair codec
+(``KVCacheCodec.pair_with``) together; never once per request, page or
+side.  Only the cold whole-prompt capture (:meth:`RequestKV.prefill_hook`)
+sees one side at a time, so it calls the codec once per (layer, side).
+The rows are encoded in one batch and each request, page and tail is
+handed its slice.  The codec plans every token's groups on their own
+(per-token group padding), so a slice holds exactly the bytes a call
+over its rows alone would emit.
 
 A request's KV lives in two tiers: *pages* (full ``page_tokens`` units,
 pool-accounted, prefix-shared, swap units) and a *private tail* (the
@@ -40,6 +45,7 @@ from repro.core import (
     slice_token_segment,
     split_token_segment,
 )
+from repro.core.kv import SIDES
 from repro.llm.quantize import fit_kv_codec
 
 from .pool import ROOT_CHAIN, KVPage, PagedKVPool, chain_hash
@@ -175,21 +181,22 @@ class RequestKV:
         return hook
 
     def _encode_pages(
-        self, layer: int, side: str, rows: np.ndarray, start: int
-    ) -> list:
+        self, layer: int, sides: tuple, rows: tuple, start: int
+    ) -> list[list]:
         """Storage segments for prompt tokens ``[start, start + len(rows))``
-        of one layer side: one per full page plus one for a sub-page tail
+        of one layer, a list per side of ``sides`` (``rows`` holds each
+        side's rows): one per full page plus one for a sub-page tail
         (``start`` sits on a page boundary; only the prompt's end may not).
 
         A page already resident under the prompt's hash chain lends its
-        payload instead of being re-encoded.  Every other row goes
-        through *one* ``backend.encode_rows`` call, sliced at the page
+        payload instead of being re-encoded.  Every other row of every
+        side goes through *one* codec call (``backend.encode_pair`` for
+        both sides, ``encode_rows`` for one), sliced at the page
         boundaries afterwards — the codec plans each token's groups on
         their own, so the slices are the bytes page-by-page calls made.
         """
         P = self.page_tokens
-        pair_index = 0 if side == "keys" else 1
-        end = start + rows.shape[0]
+        end = start + rows[0].shape[0]
         hits = [
             self.pool.peek(chain)
             for chain in self._page_chains[start // P : end // P]
@@ -199,19 +206,28 @@ class RequestKV:
             hits.append(None)
             counts.append(end % P)
         missed = [hit is None for hit in hits]
-        encoded: list = []
+        encoded: list = [[] for _ in sides]
         if any(missed):
-            encoded = self.backend.slice_segment(
-                self.backend.encode_rows(
-                    layer, side, rows[np.repeat(missed, counts)]
-                ),
-                [n for n, miss in zip(counts, missed) if miss],
+            keep = np.repeat(missed, counts)
+            picked = [side_rows[keep] for side_rows in rows]
+            batches = (
+                self.backend.encode_pair(layer, *picked)
+                if len(sides) == 2
+                else [self.backend.encode_rows(layer, sides[0], picked[0])]
             )
-        fresh = iter(encoded)
-        return [
-            next(fresh) if hit is None else hit.payload[layer][pair_index]
-            for hit in hits
-        ]
+            parts = [n for n, miss in zip(counts, missed) if miss]
+            encoded = [
+                self.backend.slice_segment(batch, parts) for batch in batches
+            ]
+        out = []
+        for side, side_encoded in zip(sides, encoded):
+            pair_index = SIDES.index(side)
+            fresh = iter(side_encoded)
+            out.append([
+                next(fresh) if hit is None else hit.payload[layer][pair_index]
+                for hit in hits
+            ])
+        return out
 
     def _acquire_prompt_page(self, j: int, payload_for) -> None:
         """Acquire prompt page ``j`` — shared on a chain hit, otherwise
@@ -432,11 +448,12 @@ class RequestKV:
                 )
         if self._warm:
             # Warm suffix: one segment per side, appended as tail state.
-            k_segments = [self.backend.encode_rows(layer, "keys", k_chunk)]
-            v_segments = [self.backend.encode_rows(layer, "values", v_chunk)]
+            k_seg, v_seg = self.backend.encode_pair(layer, k_chunk, v_chunk)
+            k_segments, v_segments = [k_seg], [v_seg]
         else:
-            k_segments = self._encode_pages(layer, "keys", k_chunk, start)
-            v_segments = self._encode_pages(layer, "values", v_chunk, start)
+            k_segments, v_segments = self._encode_pages(
+                layer, SIDES, (k_chunk, v_chunk), start
+            )
         for k_seg, v_seg in zip(k_segments, v_segments):
             self._append_segment(layer, k_seg, v_seg)
         self._chunk_segments[layer] = (k_segments, v_segments)
@@ -500,7 +517,7 @@ class RequestKV:
     ) -> None:
         """Append one decode token's K/V for one layer: the raw rows (for
         the audit record) and the one-token segments they encoded to —
-        this request's slice of the step's ``backend.encode_rows``."""
+        this request's slice of the step's ``backend.encode_pair``."""
         if self.raw_decode is not None:
             self.raw_decode[layer]["keys"].append(
                 np.asarray(k_row, dtype=np.float32).copy()
@@ -588,6 +605,11 @@ class RequestKV:
         follow-up turn whose prompt extends this conversation hits the
         *entire* history instead of missing on everything past the last
         page boundary.
+
+        The streams' decoded rows go too: a finished request is kept for
+        reports and audits, and its float32 copy of the whole history
+        would otherwise stay alive with it.  The compressed segments
+        stay, so a later read (an audit) decodes them again.
         """
         if self._released:
             raise RuntimeError("request KV already released (double free)")
@@ -598,13 +620,15 @@ class RequestKV:
         for page in self.pages:
             self.pool.release(page)
         self.pages = []
+        for stream in self.streams:
+            stream.invalidate_decoded()
         self._released = True
 
     # ------------------------------------------------------------------
     # Layer state: one KVCacheStream per layer, whatever the format.
     # ------------------------------------------------------------------
     def _encode_prompt_side(self, layer, side, kv):
-        segments = self._encode_pages(layer, side, kv, 0)
+        (segments,) = self._encode_pages(layer, (side,), (kv,), 0)
         # Kept for ``commit_prompt``: these rows came out of the codec, so
         # the stream adopts them instead of decoding again.
         decoded = self.backend.codec(layer, side).decode_all(segments)
@@ -663,6 +687,20 @@ class _KVBackend:
 
     def codec(self, layer: int, side: str):
         return self.codecs[layer][0 if side == "keys" else 1]
+
+    def encode_rows(self, layer: int, side: str, rows: np.ndarray):
+        """One segment for a ``(tokens, dim)`` batch of one layer side's
+        rows — one codec call however many requests or pages they span."""
+        return self.codec(layer, side).encode_tokens(rows)
+
+    def encode_pair(self, layer: int, keys: np.ndarray, values: np.ndarray):
+        """One key and one value segment for a layer's ``(tokens, dim)``
+        rows, both from one call of the layer's pair codec."""
+        key_codec, value_codec = self.codecs[layer]
+        k_seg, v_seg = key_codec.pair_with(value_codec).encode_sides(
+            (keys, values)
+        )
+        return k_seg, v_seg
 
     @staticmethod
     def segment_nbytes(segment) -> int:
@@ -742,11 +780,6 @@ class EccoKVBackend(_KVBackend):
         """Deterministic compressed bytes per token (K+V, all layers)."""
         return self.num_layers * 2 * self._side_nbytes
 
-    def encode_rows(self, layer: int, side: str, rows: np.ndarray):
-        """One segment for a ``(tokens, dim)`` batch of one layer side's
-        rows — one codec call however many requests or pages they span."""
-        return self.codec(layer, side).encode_tokens(rows)
-
     def roundtrip_rows(self, layer: int, side: str, rows: np.ndarray):
         """What a store of ``rows`` on their own reads back as — the
         single-stream reference ``ServingEngine.audit_kv`` holds the
@@ -769,9 +802,10 @@ class EccoKVBackend(_KVBackend):
 class Fp16KVBackend(_KVBackend):
     """Raw fp16 KV storage — the capacity/traffic baseline.
 
-    The backend is also every layer's key and value codec: a segment is a
-    ``(tokens, d_model)`` float16 array, merged by concatenation and read
-    back cast to float32.
+    The backend is also every layer's key and value codec, and their
+    pair codec: a segment is a ``(tokens, d_model)`` float16 array, merged
+    by concatenation and read back cast to float32, one side at a time
+    (a "joint" call is two casts or two concatenates).
     """
 
     name = "fp16"
@@ -785,12 +819,8 @@ class Fp16KVBackend(_KVBackend):
     def per_token_nbytes(self) -> int:
         return self.per_token_fp16_nbytes
 
-    @staticmethod
-    def encode_rows(layer: int, side: str, rows: np.ndarray) -> np.ndarray:
-        return np.asarray(rows).astype(np.float16)
-
     def roundtrip_rows(self, layer: int, side: str, rows: np.ndarray):
-        return self.encode_rows(layer, side, rows).astype(np.float32)
+        return self.encode_tokens(rows).astype(np.float32)
 
     @staticmethod
     def slice_segment(segment, token_counts) -> list:
@@ -817,3 +847,19 @@ class Fp16KVBackend(_KVBackend):
     @staticmethod
     def decode_all(segments: list) -> np.ndarray:
         return np.concatenate(segments, axis=0, dtype=np.float32)
+
+    @staticmethod
+    def encode_tokens(rows: np.ndarray) -> np.ndarray:
+        return np.asarray(rows).astype(np.float16)
+
+    def pair_with(self, other: "Fp16KVBackend") -> "Fp16KVBackend":
+        return self
+
+    def encode_sides(self, rows) -> list:
+        return [self.encode_tokens(side_rows) for side_rows in rows]
+
+    def decode_sides(self, segments) -> list:
+        return [
+            self.decode_all(side) if side else np.zeros((0, 0), np.float32)
+            for side in segments
+        ]

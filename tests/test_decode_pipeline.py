@@ -277,7 +277,8 @@ def test_stream_reads_are_2d_and_decode_only_new_tokens(kv_codec):
     stream.append_tokens(prefill, prefill)
     keys = stream.read_keys()
     assert keys.shape == (8, 128)
-    assert stream.decoded_tokens == {"keys": 8, "values": 0}
+    # A read decodes both sides' fresh segments in one codec call.
+    assert stream.decoded_tokens == {"keys": 8, "values": 8}
 
     # Repeat reads decode nothing new.
     assert stream.read_keys().shape == (8, 128)

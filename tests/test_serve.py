@@ -119,26 +119,41 @@ def test_coalesce_with_partial_cache_drops_back_to_the_boundary(kv_codec):
     stream = _stream_with(kv_codec, [prefix])
     for _ in range(4):
         vec = rng.standard_normal(DIM).astype(np.float32)
-        stream.append(vec, vec)
-    stream.read_keys()
-    assert stream.decoded_tokens["keys"] == 12
+        stream.append(vec, vec * 0.5)
+    stream.read_keys()  # decodes both sides
+    assert stream.decoded_tokens == {"keys": 12, "values": 12}
     # Two more appends the cache has not seen.
     for _ in range(2):
         vec = rng.standard_normal(DIM).astype(np.float32)
-        stream.append(vec, vec)
+        stream.append(vec, vec * 0.5)
 
-    reference = stream.read_values().copy()  # values side: decode all 14
-    stream.coalesce(8)  # merges [8, 14); keys cache sat at 12, inside it
+    reference = [
+        kv_codec.decode_all(stream._segments[side]) for side in ("keys", "values")
+    ]
+    stream.coalesce(8)  # merges [8, 14); both caches sat at 12, inside it
     keys = stream.read_keys()
     assert keys.shape == (14, DIM)
-    # Keys re-decoded [8, 14) = 6 tokens on top of the 12 already done.
-    assert stream.decoded_tokens["keys"] == 12 + 6
-    # Values cache covered all 14 tokens, so it survived the rewrite.
-    assert stream.decoded_tokens["values"] == 14
-    assert np.array_equal(stream.read_values(), reference)
+    # Both sides re-decoded [8, 14) = 6 tokens on top of the 12 done.
+    assert stream.decoded_tokens == {"keys": 12 + 6, "values": 12 + 6}
+    assert np.array_equal(keys, reference[0])
+    assert np.array_equal(stream.read_values(), reference[1])
 
     with pytest.raises(ValueError, match="segment boundary"):
         stream.coalesce(3)
+
+
+def test_coalesce_at_or_past_the_end_is_a_value_error(kv_codec):
+    """There is nothing to merge at the end of the stream, and no
+    boundary past it: both are the documented ValueError."""
+    rng = np.random.default_rng(24)
+    stream = _stream_with(
+        kv_codec, [rng.standard_normal((1, DIM)) for _ in range(4)]
+    )
+    with pytest.raises(ValueError, match="no segments at or after token 4"):
+        stream.coalesce(4)
+    with pytest.raises(ValueError, match="not a segment boundary"):
+        stream.coalesce(9)
+    assert stream.num_segments == 4
 
 
 def test_arrays_handed_out_by_reads_never_change(kv_codec):
@@ -496,6 +511,36 @@ def test_engine_rejects_requests_that_can_never_fit(tiny_engine_parts):
         engine.submit(np.arange(10) % spec.vocab_size, max_new_tokens=50)
 
 
+@pytest.mark.parametrize("storage", ["ecco", "fp16"])
+def test_release_drops_the_decoded_rows(tiny_engine_parts, storage):
+    """A finished request stays in ``engine.requests`` for reports and
+    audits, but its float32 copy of the decoded history does not: after a
+    drained run every finished request holds 0 decoded bytes, and the
+    audit still reads (re-decodes) every one of them bit-exactly."""
+    spec, model, calib = tiny_engine_parts
+    engine = ServingEngine(
+        model, calib if storage == "ecco" else None, storage=storage,
+        byte_budget=200_000, record_reference=True,
+    )
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        engine.submit(rng.integers(0, spec.vocab_size, size=13), max_new_tokens=5)
+    engine.run()
+
+    def decoded_nbytes(request):
+        return sum(
+            buffer.nbytes
+            for stream in request.kv.streams
+            for buffer in stream._buffer.values()
+            if buffer is not None
+        )
+
+    assert [r.state for r in engine.requests] == [RequestState.FINISHED] * 3
+    assert [decoded_nbytes(r) for r in engine.requests] == [0, 0, 0]
+    assert engine.audit_kv() == []
+    assert all(decoded_nbytes(r) > 0 for r in engine.requests)
+
+
 # ----------------------------------------------------------------------
 # audit_kv: the bit-exact oracle must bite.
 # ----------------------------------------------------------------------
@@ -521,14 +566,30 @@ def test_audit_kv_names_the_request_that_broke_the_contract(
     assert follower.kv.attached_tokens == 16
     assert engine.audit_kv() == []
 
-    # Overwrite one row the follower encoded itself with its neighbour.
-    rows = follower.kv.streams[1]._buffer["keys"]
-    kept = rows[18].copy()
-    rows[18] = rows[19]
+    # Overwrite the stored bytes of one row the follower encoded itself
+    # with its neighbour's, and drop the decoded rows so the audit's read
+    # decodes what is stored.
+    stream = follower.kv.streams[1]
+    start = 0
+    for segment in stream._segments["keys"]:
+        tokens = stream.key_codec.token_shape(segment)[0]
+        if start <= 18 and 19 < start + tokens:
+            break
+        start += tokens
+    stored = getattr(segment, "blocks", segment)
+    per_token = stored.shape[0] // tokens
+    row, neighbour = (
+        slice((t - start) * per_token, (t - start + 1) * per_token)
+        for t in (18, 19)
+    )
+    kept = stored[row].copy()
+    stored[row] = stored[neighbour]
+    stream.invalidate_decoded()
     assert engine.audit_kv() == [
         "follower: layer 1 keys differs from the single-stream reference"
     ]
-    rows[18] = kept
+    stored[row] = kept
+    stream.invalidate_decoded()
     # An attached prefix nobody (that the engine knows of) produced.
     engine.requests.remove(leader)
     assert engine.audit_kv() == [

@@ -1,15 +1,18 @@
 """Tier-0 tests for step-batched codec calls on the serve path.
 
-The engine encodes a decode step's R new rows, and decodes what its R
-requests have not decoded yet, with one codec call per (layer, side); a
-prompt is one encode call per (layer, side) however many pages it spans.
-Two kinds of test hold that down:
+The engine encodes a decode step's R new key and value rows, and decodes
+what its R requests have not decoded yet of both sides, with one codec
+call per layer (keys and values share a call through the layer's pair
+codec); a prefill chunk is one encode call per layer however many pages
+it spans, and a cold whole prompt one per (layer, side).  Two kinds of
+test hold that down:
 
 * a differential run — the same raw K/V rows driven through
   ``_PoolBatchKV`` R requests at a time and one request at a time must
   leave every request, and the pool, in the same state after every step;
-* call-count pins — ``KVCacheCodec.encode_tokens``/``decode_all`` are
-  wrapped and counted, so a per-request or per-page loop creeping back
+* call-count pins — ``KVCacheCodec.encode_sides``/``decode_sides`` (the
+  entry point of every Ecco codec call, one side or both) are wrapped
+  and counted, so a per-request, per-page or per-side loop creeping back
   in fails by count, not by a timing.
 """
 
@@ -197,22 +200,23 @@ def test_step_batched_codec_calls_match_one_request_at_a_time(
 
 @pytest.fixture
 def codec_calls(monkeypatch):
-    """Every ``encode_tokens``/``decode_all`` call as ``(name, tokens)``."""
+    """Every ``encode_sides``/``decode_sides`` call as ``(name, sides,
+    tokens)``: how many sides it coded and the tokens of each."""
     calls = []
-    encode, decode = KVCacheCodec.encode_tokens, KVCacheCodec.decode_all
+    encode, decode = KVCacheCodec.encode_sides, KVCacheCodec.decode_sides
 
-    def counted_encode(self, vectors):
-        result = encode(self, vectors)
-        calls.append(("encode", result.token_shape[0]))
+    def counted_encode(self, rows):
+        result = encode(self, rows)
+        calls.append(("encode", len(result), result[0].token_shape[0]))
         return result
 
     def counted_decode(self, segments):
         result = decode(self, segments)
-        calls.append(("decode", result.shape[0]))
+        calls.append(("decode", len(result), result[0].shape[0]))
         return result
 
-    monkeypatch.setattr(KVCacheCodec, "encode_tokens", counted_encode)
-    monkeypatch.setattr(KVCacheCodec, "decode_all", counted_decode)
+    monkeypatch.setattr(KVCacheCodec, "encode_sides", counted_encode)
+    monkeypatch.setattr(KVCacheCodec, "decode_sides", counted_decode)
     return calls
 
 
@@ -230,21 +234,25 @@ def test_a_step_calls_the_codec_once_per_layer_side(parts, codec_calls):
     ]
 
     # Step 1 prefills all three, then decodes them together.  A cold
-    # whole-prompt prefill is one encode and one decode per (layer, side)
-    # — 40 tokens are five pages, not five calls — and the decode step
-    # that follows decodes only the three new tokens: the prompt rows the
-    # prefill roundtrip decoded were handed to the streams, not redone.
+    # whole-prompt prefill captures one side at a time: one one-side
+    # encode and decode per (layer, side) — 40 tokens are five pages, not
+    # five calls.  The decode step that follows decodes only the three
+    # new tokens: the prompt rows the prefill roundtrip decoded were
+    # handed to the streams, not redone.
     engine.step()
-    per_prompt = [[(name, n)] * L * 2 for n in prompts for name in ("encode", "decode")]
+    per_prompt = [
+        [(name, 1, n)] * L * 2 for n in prompts for name in ("encode", "decode")
+    ]
     prefill, step = codec_calls[: 3 * 4 * L], codec_calls[3 * 4 * L :]
     assert sorted(prefill) == sorted(sum(per_prompt, []))
-    assert sorted(step) == [("decode", 3)] * 2 * L + [("encode", 3)] * 2 * L
+    assert sorted(step) == [("decode", 2, 3)] * L + [("encode", 2, 3)] * L
 
-    # A steady-state step: 2L encode calls and 2L decode calls for three
-    # running requests, each covering exactly the three new tokens.
+    # A steady-state step: L encode calls and L decode calls for three
+    # running requests, each coding keys and values together and covering
+    # exactly the three new tokens per side.
     del codec_calls[:]
     engine.step()
-    assert sorted(codec_calls) == [("decode", 3)] * 2 * L + [("encode", 3)] * 2 * L
+    assert sorted(codec_calls) == [("decode", 2, 3)] * L + [("encode", 2, 3)] * L
 
     # Every token was block-decoded exactly once, primed rows included.
     for request in requests:
@@ -263,5 +271,5 @@ def test_a_prefill_chunk_calls_the_codec_once_per_layer_side(parts, codec_calls)
     for layer in range(LAYERS):
         kv.ingest_chunk(layer, *rows[layer])
     kv.commit_chunk()
-    assert codec_calls == [("encode", 3 * PAGE)] * 2 * LAYERS
+    assert codec_calls == [("encode", 2, 3 * PAGE)] * LAYERS
     assert len(kv.pages) == 3
