@@ -359,8 +359,7 @@ class KVCacheStream:
     O(fresh segments) whatever the context length.  The ``decoded_tokens``
     counters expose exactly how much decode work was done, and
     ``invalidate_decoded`` rolls the read cursor back.  Rows only ever
-    enter the decoded buffer out of a codec decode — a read's, or one the
-    caller already ran and hands over with ``prime_decoded`` — never from
+    enter the decoded buffer out of a read's codec decode, never from
     the encoder's own reconstruction.
 
     The two codecs are anything with ``token_shape``, ``merge`` and
@@ -503,22 +502,6 @@ class KVCacheStream:
         view = buffer[: self._cached_tokens[side]]
         view.flags.writeable = False
         return view
-
-    def prime_decoded(self, side: str, rows: np.ndarray) -> None:
-        """Adopt ``rows`` a caller already block-decoded from this side's
-        segments past the cursor, so the next read does not decode them a
-        second time (the prefill roundtrip hands its rows over this way).
-
-        ``rows`` must be the ``decode_all`` of exactly those segments; the
-        work was done, so it is counted in ``decoded_tokens`` like a read.
-        """
-        pending = self._num_tokens - self._cached_tokens[side]
-        if rows.ndim != 2 or rows.shape[0] != pending:
-            raise ValueError(
-                f"{side}: got decoded rows of shape {rows.shape} for "
-                f"{pending} tokens past the read cursor"
-            )
-        self._store_decoded(side, rows)
 
     def _truncate_cache(self, side: str, token_limit: int) -> None:
         """Roll one side's cursor back to the last segment boundary at or

@@ -81,7 +81,7 @@ def prefill_chunk(
     Every chunk position attends causally over the stored history plus
     the chunk's own (quantized-roundtrip) K/V — the same cache-read path
     :func:`decode_step` uses — so ingesting a prompt in slices stores
-    byte-identical KV to the whole-prompt pass and yields the same
+    byte-identical KV to ingesting it as one chunk and yields the same
     first-token logits up to float32 summation order.
     """
     spec = model.spec
@@ -137,12 +137,15 @@ def prefill_chunk(
         kh = keys.reshape(-1, H, hd).transpose(1, 0, 2)  # (H, total, hd)
         kh = _smear_heads(kh[None])[0]  # smear on read, like decode_step
         vh = values.reshape(-1, H, hd).transpose(1, 0, 2)
-        scores = np.einsum("thd,hsd->hts", q, kh) * inv_sqrt
+        # (H, T, total) by batched matmul, as ProxyModel.forward does: a
+        # plain np.einsum runs its own loop instead of BLAS and is the
+        # slower of the two at these shapes.
+        scores = (q.transpose(1, 0, 2) @ kh.transpose(0, 2, 1)) * inv_sqrt
         scores += mask[None]
         scores -= scores.max(axis=-1, keepdims=True)
         probs = np.exp(scores)
         probs /= probs.sum(axis=-1, keepdims=True)
-        ctx = np.einsum("hts,hsd->thd", probs, vh).reshape(T, H * hd)
+        ctx = (probs @ vh).transpose(1, 0, 2).reshape(T, H * hd)
         ctx = ctx / gv.reshape(1, H * hd)
         x = x + ctx @ model.params[p + "attn.wo"].data.T
 

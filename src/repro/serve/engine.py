@@ -4,11 +4,14 @@ One :class:`ServingEngine` owns a proxy model, a storage backend (Ecco
 blocks or fp16), a byte-budgeted :class:`~repro.serve.pool.PagedKVPool`
 and a :class:`~repro.serve.scheduler.ContinuousBatchingScheduler`.  Each
 ``step()`` draws from one token budget: every running request decodes
-one token, and whatever remains goes to prompt ingestion — whole-prompt
-prefills by default, or page-aligned chunks interleaved with decode
-steps when ``prefill_chunk_tokens`` is set (Sarathi-style chunked
-prefill), so one long prompt no longer stalls the whole batch.  When
-the next step's KV growth would not fit the budget, the youngest
+one token, and whatever remains goes to prompt ingestion — a whole
+prompt per admission by default, or page-aligned chunks interleaved with
+decode steps when ``prefill_chunk_tokens`` is set (Sarathi-style chunked
+prefill), so one long prompt no longer stalls the whole batch.  Either
+way the prompt runs through :func:`~repro.llm.decode.prefill_chunk` over
+the request's stored KV (a whole prompt is one chunk), so its first
+token's logits see exactly the KV later decode steps read.  When the
+next step's KV growth would not fit the budget, the youngest
 request is preempted — its pages swap out *in compressed form* and its
 decoded-segment caches stay, so re-admission costs swap traffic but
 zero re-decode.  The pool's byte budget is a hard invariant: the engine
@@ -316,7 +319,7 @@ class ServingEngine:
 
     def _admit(self) -> int:
         """Swapped victims first, then fresh prefills; returns the
-        prompt tokens ingested by whole-prompt (unchunked) prefills."""
+        prompt tokens ingested by unchunked prefills (one chunk each)."""
         scheduler, pool = self.scheduler, self.pool
         per_token = self.backend.per_token_nbytes
         tokens = 0
@@ -396,40 +399,31 @@ class ServingEngine:
             self.clock.advance(self.step_cost.prefill_s(tokens))
 
     def _prefill(self, request: Request) -> int:
-        """Admit one request the unchunked way: run its prompt in one
-        forward pass — the whole prompt on a cold start, only the
-        unmatched suffix when a cached prefix attaches — and emit its
-        first token.  Returns the prompt tokens this cost the step."""
+        """Admit one request the unchunked way: ingest its prompt as one
+        chunk — the whole prompt on a cold start, only the unmatched
+        suffix when a cached prefix attaches — and emit its first token.
+        Returns the prompt tokens this cost the step."""
         request.kv = self.backend.create_request(
             self.pool, request.prompt, record_raw=self.record_reference
         )
         attached = self._attach_prefix(request)
-        if attached:
-            # Warm start: the attached history is read straight from the
-            # cache; only the suffix runs through the model (the same
-            # stored-history attention path chunked prefill uses).
-            request.kv.begin_chunk(attached, request.prompt_len)
-            logits = prefill_chunk(
-                self.model,
-                request.prompt[attached:],
-                attached,
-                _ChunkIngestKV(request.kv),
-            )
-            request.kv.commit_chunk()
-            last_logits = logits[-1]
-        else:
-            logits = self.model.forward(
-                request.prompt[None, :], kv_quant=request.kv.prefill_hook()
-            )
-            request.kv.commit_prompt()
-            last_logits = logits[0, -1]
+        # An attached history is read straight from the cache; only the
+        # rest of the prompt runs through the model.
+        request.kv.begin_chunk(attached, request.prompt_len)
+        logits = prefill_chunk(
+            self.model,
+            request.prompt[attached:],
+            attached,
+            _ChunkIngestKV(request.kv),
+        )
+        request.kv.commit_chunk()
         tokens = request.prompt_len - attached
         request.prefill_pos = request.prompt_len
         request.metrics.prefill_chunks = 1
         self.metrics.prefill_forwarded_tokens += tokens
         self._charge_prefill(tokens)
         self.scheduler.activate(request, "waiting")
-        self._emit_first_token(request, last_logits)
+        self._emit_first_token(request, logits[-1])
         return tokens
 
     def _start_chunked(self, request: Request) -> None:
@@ -437,11 +431,7 @@ class ServingEngine:
         request.kv = self.backend.create_request(
             self.pool, request.prompt, record_raw=self.record_reference
         )
-        attached = self._attach_prefix(request)
-        if attached:
-            request.prefill_pos = attached
-        else:
-            request.kv.begin_ingest()
+        request.prefill_pos = self._attach_prefix(request)
         self.scheduler.activate(request, "waiting")
 
     def _emit_first_token(self, request: Request, last_logits) -> None:

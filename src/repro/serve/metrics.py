@@ -173,7 +173,8 @@ ENGINE_COUNTERS: dict[str, int | float] = {
     # Tokens emitted by decode steps (prefill first-tokens not included).
     "decode_tokens": 0,
     # Chunked-prefill work: chunks processed and prompt tokens ingested
-    # through them (whole-prompt prefills are not counted here).
+    # through them (an unchunked engine's one-chunk prefills are not
+    # counted here).
     "prefill_chunks": 0,
     "chunked_prefill_tokens": 0,
     # Steps where a chunk was ready but stalled on pool headroom.
@@ -190,8 +191,8 @@ ENGINE_COUNTERS: dict[str, int | float] = {
     # would have re-encoded every one of them.
     "prefix_partial_attaches": 0,
     "split_tokens_salvaged": 0,
-    # Prompt tokens that actually ran through a prefill forward pass
-    # (whole-prompt, warm-suffix and chunked alike) — with
+    # Prompt tokens that actually ran through ``prefill_chunk`` (cold
+    # whole prompts, warm suffixes and chunks alike) — with
     # ``prefix_tokens_reused`` this decomposes every admitted prompt
     # into reused vs re-encoded tokens.
     "prefill_forwarded_tokens": 0,

@@ -9,21 +9,19 @@ the previous read, and a preempted request re-admits without touching
 its history again.  The backends differ only in the bytes they store.
 
 What a "segment" is belongs to the backend: ``encode_pair`` turns a
-batch of a layer's key and value rows into one segment per side
-(``encode_rows`` does one side), ``slice_segment`` cuts a segment at
-token boundaries, and the backend's per-layer codecs merge and decode
-segments for the streams (:func:`~repro.core.read_streams` decodes both
-sides of many requests' segments together).  The codec is therefore
-called once per layer per *call site* — per engine decode step over the
-R running requests, per prefill chunk, per warm suffix — with keys and
-values going through the layer's pair codec
+batch of a layer's key and value rows into one segment per side,
+``slice_segment`` cuts a segment at token boundaries, and the backend's
+per-layer codecs merge and decode segments for the streams
+(:func:`~repro.core.read_streams` decodes both sides of many requests'
+segments together).  The codec is therefore called once per layer per
+*call site* — per engine decode step over the R running requests, per
+prefill chunk (a cold whole prompt is one chunk), per warm suffix —
+with keys and values going through the layer's pair codec
 (``KVCacheCodec.pair_with``) together; never once per request, page or
-side.  Only the cold whole-prompt capture (:meth:`RequestKV.prefill_hook`)
-sees one side at a time, so it calls the codec once per (layer, side).
-The rows are encoded in one batch and each request, page and tail is
-handed its slice.  The codec plans every token's groups on their own
-(per-token group padding), so a slice holds exactly the bytes a call
-over its rows alone would emit.
+side.  The rows are encoded in one batch and each request, page and
+tail is handed its slice.  The codec plans every token's groups on
+their own (per-token group padding), so a slice holds exactly the bytes
+a call over its rows alone would emit.
 
 A request's KV lives in two tiers: *pages* (full ``page_tokens`` units,
 pool-accounted, prefix-shared, swap units) and a *private tail* (the
@@ -45,19 +43,11 @@ from repro.core import (
     slice_token_segment,
     split_token_segment,
 )
-from repro.core.kv import SIDES
 from repro.llm.quantize import fit_kv_codec
 
 from .pool import ROOT_CHAIN, KVPage, PagedKVPool, chain_hash
 
 __all__ = ["EccoKVBackend", "Fp16KVBackend", "RequestKV"]
-
-
-def _parse_hook_name(name: str) -> tuple[int, str]:
-    """'layers.3.k_cache' -> (3, 'keys')."""
-    layer = int(name.split(".")[1])
-    side = "keys" if name.endswith("k_cache") else "values"
-    return layer, side
 
 
 class RequestKV:
@@ -66,8 +56,10 @@ class RequestKV:
     The layer state is one :class:`~repro.core.KVCacheStream` per layer
     over the backend's codecs, for either storage format; this class
     owns the paging arithmetic, the pool accounting, the page hash
-    chain, and the prefill capture protocol (the object doubles as the
-    ``kv_quant`` hook a prefill forward pass runs through).
+    chain, and prompt ingestion: a prompt enters the cache one chunk at
+    a time (:meth:`begin_chunk` / per-layer :meth:`ingest_chunk` /
+    :meth:`commit_chunk`, a whole prompt being one chunk), after an
+    optional :meth:`attach_cached_prefix`.
     """
 
     def __init__(
@@ -84,7 +76,6 @@ class RequestKV:
         self.token_ids: list[int] = []
         self.pages: list[KVPage] = []
         self.resident = True
-        self._pending: dict | None = {}
         self._chunk_bounds: tuple[int, int] | None = None
         self._chunk_segments: dict[int, tuple[list, list]] = {}
         self._unpaged_nbytes = 0
@@ -103,9 +94,6 @@ class RequestKV:
             KVCacheStream(key_codec=key_codec, value_codec=value_codec)
             for key_codec, value_codec in backend.codecs
         ]
-        #: Prompt rows the prefill roundtrip already decoded, per
-        #: (layer, side), until ``commit_prompt`` primes the streams.
-        self._prompt_decoded: dict = {}
         # Page hash chain over the prompt's full pages.
         P = self.page_tokens
         self._num_prompt_pages = len(self.prompt_ids) // P
@@ -160,43 +148,25 @@ class RequestKV:
         return 1 if self._warm else self.page_tokens
 
     # ------------------------------------------------------------------
-    # Prefill: the object is the kv_quant hook of the prefill forward.
+    # Prompt pages: shared on a chain hit, otherwise encoded once.
     # ------------------------------------------------------------------
-    def prefill_hook(self):
-        """The ``kv_quant`` callable a prefill forward pass runs through.
-
-        For every layer's K then V it stores the prompt KV as page
-        segments plus a tail segment (:meth:`_encode_pages`) and returns
-        the storage roundtrip — so prefill logits see exactly the KV
-        later decode steps will read.
-        """
-        def hook(name: str, kv: np.ndarray) -> np.ndarray:
-            layer, side = _parse_hook_name(name)
-            kv = np.asarray(kv, dtype=np.float32)
-            if self.raw_prompt is not None:
-                self.raw_prompt[layer][side] = kv.copy()
-            segments, decoded = self._encode_prompt_side(layer, side, kv)
-            self._pending[(layer, side)] = segments
-            return decoded
-        return hook
-
     def _encode_pages(
-        self, layer: int, sides: tuple, rows: tuple, start: int
-    ) -> list[list]:
-        """Storage segments for prompt tokens ``[start, start + len(rows))``
-        of one layer, a list per side of ``sides`` (``rows`` holds each
-        side's rows): one per full page plus one for a sub-page tail
-        (``start`` sits on a page boundary; only the prompt's end may not).
+        self, layer: int, keys: np.ndarray, values: np.ndarray, start: int
+    ) -> tuple[list, list]:
+        """Storage segments ``(k_segments, v_segments)`` for prompt tokens
+        ``[start, start + len(keys))`` of one layer: one per full page plus
+        one for a sub-page tail (``start`` sits on a page boundary; only
+        the prompt's end may not).
 
         A page already resident under the prompt's hash chain lends its
-        payload instead of being re-encoded.  Every other row of every
-        side goes through *one* codec call (``backend.encode_pair`` for
-        both sides, ``encode_rows`` for one), sliced at the page
-        boundaries afterwards — the codec plans each token's groups on
-        their own, so the slices are the bytes page-by-page calls made.
+        payload instead of being re-encoded.  Every other row of both
+        sides goes through *one* ``backend.encode_pair`` call, sliced at
+        the page boundaries afterwards — the codec plans each token's
+        groups on their own, so the slices are the bytes page-by-page
+        calls made.
         """
         P = self.page_tokens
-        end = start + rows[0].shape[0]
+        end = start + keys.shape[0]
         hits = [
             self.pool.peek(chain)
             for chain in self._page_chains[start // P : end // P]
@@ -206,28 +176,19 @@ class RequestKV:
             hits.append(None)
             counts.append(end % P)
         missed = [hit is None for hit in hits]
-        encoded: list = [[] for _ in sides]
+        encoded: list = []
         if any(missed):
             keep = np.repeat(missed, counts)
-            picked = [side_rows[keep] for side_rows in rows]
-            batches = (
-                self.backend.encode_pair(layer, *picked)
-                if len(sides) == 2
-                else [self.backend.encode_rows(layer, sides[0], picked[0])]
-            )
+            batches = self.backend.encode_pair(layer, keys[keep], values[keep])
             parts = [n for n, miss in zip(counts, missed) if miss]
             encoded = [
                 self.backend.slice_segment(batch, parts) for batch in batches
             ]
-        out = []
-        for side, side_encoded in zip(sides, encoded):
-            pair_index = SIDES.index(side)
-            fresh = iter(side_encoded)
-            out.append([
-                next(fresh) if hit is None else hit.payload[layer][pair_index]
-                for hit in hits
-            ])
-        return out
+        fresh = zip(*encoded)
+        pairs = [
+            next(fresh) if hit is None else hit.payload[layer] for hit in hits
+        ]
+        return [k for k, _ in pairs], [v for _, v in pairs]
 
     def _acquire_prompt_page(self, j: int, payload_for) -> None:
         """Acquire prompt page ``j`` — shared on a chain hit, otherwise
@@ -250,50 +211,6 @@ class RequestKV:
             self._page_chains[j], ids, build, parent=parent
         )
         self.pages.append(page)
-
-    def _reserve_tail(self, tail_tokens: int, tail_nbytes: int) -> None:
-        """Account the prompt's sub-page tail as a private reservation."""
-        self._unpaged_nbytes = tail_nbytes
-        self._unpaged_fp16_nbytes = (
-            tail_tokens * self.backend.per_token_fp16_nbytes
-        )
-        self.pool.reserve_private(tail_nbytes, self._unpaged_fp16_nbytes)
-
-    def commit_prompt(self) -> None:
-        """Promote the captured prompt KV into pool pages + tail state."""
-        if self._pending is None:
-            raise RuntimeError("prompt already committed")
-        self.token_ids = list(self.prompt_ids)
-        L = self.backend.num_layers
-        P = self.page_tokens
-        for j in range(self._num_prompt_pages):
-            self._acquire_prompt_page(
-                j,
-                lambda layer, j=j: (
-                    self._pending[(layer, "keys")][j],
-                    self._pending[(layer, "values")][j],
-                ),
-            )
-        for layer, stream in enumerate(self.streams):
-            keys = self._pending[(layer, "keys")]
-            values = self._pending[(layer, "values")]
-            for k_seg, v_seg in zip(keys, values):
-                stream.append_compressed(k_seg, v_seg)
-            for side in ("keys", "values"):
-                stream.prime_decoded(
-                    side, self._prompt_decoded.pop((layer, side))
-                )
-        tail_tokens = len(self.prompt_ids) - self._num_prompt_pages * P
-        if tail_tokens:
-            tail_nbytes = sum(
-                self.backend.segment_nbytes(
-                    self._pending[(layer, side)][self._num_prompt_pages]
-                )
-                for layer in range(L)
-                for side in ("keys", "values")
-            )
-            self._reserve_tail(tail_tokens, tail_nbytes)
-        self._pending = None
 
     # ------------------------------------------------------------------
     # Cross-turn reuse: attach a cached prefix instead of re-encoding.
@@ -351,7 +268,6 @@ class RequestKV:
                     self.split_tokens = head_tokens
         if not matched:
             return 0
-        self.begin_ingest()
         self._warm = True
 
         def refuse_build():
@@ -371,32 +287,19 @@ class RequestKV:
         return total
 
     # ------------------------------------------------------------------
-    # Chunked prefill: page-aligned partial prompt commits.
+    # Prompt ingestion: one chunk at a time (a whole prompt is one).
     # ------------------------------------------------------------------
-    def begin_ingest(self) -> None:
-        """Switch to chunk-by-chunk prompt ingestion (chunked prefill).
-
-        The whole-prompt path captures every layer through
-        :meth:`prefill_hook` and lands in one :meth:`commit_prompt`;
-        this path instead ingests page-aligned chunks — one
-        :meth:`begin_chunk` / per-layer :meth:`ingest_chunk` /
-        :meth:`commit_chunk` cycle per chunk — so a long prompt enters
-        the cache interleaved with decode steps.  Because chunk
-        boundaries sit on page boundaries and the codec plans per
-        token, the stored bytes are identical to the whole-prompt pass.
-        """
-        self._pending = None
-        self._chunk_bounds = None
-        self._chunk_segments = {}
-
     def begin_chunk(self, start: int, end: int) -> None:
         """Open the chunk covering prompt tokens ``[start, end)``.
 
         ``start`` must sit on a page boundary and equal the tokens
         already ingested; ``end`` must sit on a page boundary too unless
         it is the end of the prompt (the tail rides in the final chunk).
-        A warm request (cached prefix attached) ingests at arbitrary
-        boundaries instead — its prefix may end mid-page.
+        Because chunk boundaries sit on page boundaries and the codec
+        plans per token, the stored bytes do not depend on how a prompt
+        is cut into chunks.  A warm request (cached prefix attached)
+        ingests at arbitrary boundaries instead — its prefix may end
+        mid-page.
         """
         P = self.page_tokens
         if start != self.num_tokens:
@@ -452,7 +355,7 @@ class RequestKV:
             k_segments, v_segments = [k_seg], [v_seg]
         else:
             k_segments, v_segments = self._encode_pages(
-                layer, SIDES, (k_chunk, v_chunk), start
+                layer, k_chunk, v_chunk, start
             )
         for k_seg, v_seg in zip(k_segments, v_segments):
             self._append_segment(layer, k_seg, v_seg)
@@ -462,33 +365,18 @@ class RequestKV:
         """Promote the open chunk's full pages into the pool.
 
         Pages become shared, ref-counted pool pages (an identical
-        resident page is re-pinned instead of duplicated); a prompt
-        tail stays a private reservation exactly as the whole-prompt
-        path leaves it.
+        resident page is re-pinned instead of duplicated); the rest — a
+        prompt tail, or a whole warm chunk — stays a private reservation
+        until the decode-time pageify or :meth:`release` promotes it.
         """
         if self._chunk_bounds is None:
             raise RuntimeError("no open chunk to commit")
         start, end = self._chunk_bounds
-        if self._warm:
-            # Warm chunks never page mid-prompt: they accumulate as the
-            # private tail and are promoted as one chain page at release
-            # (or by the decode-time pageify once the tail fills up).
-            chunk_nbytes = sum(
-                self.backend.segment_nbytes(seg)
-                for pair in self._chunk_segments.values()
-                for segments in pair
-                for seg in segments
-            )
-            chunk_fp16 = (end - start) * self.backend.per_token_fp16_nbytes
-            self._unpaged_nbytes += chunk_nbytes
-            self._unpaged_fp16_nbytes += chunk_fp16
-            self.pool.reserve_private(chunk_nbytes, chunk_fp16)
-            self.token_ids.extend(self.prompt_ids[start:end])
-            self._chunk_bounds = None
-            self._chunk_segments = {}
-            return
         P = self.page_tokens
-        pages = range(start // P, end // P)
+        # Warm chunks never page mid-prompt: they accumulate as the
+        # private tail and are promoted as one chain page at release (or
+        # by the decode-time pageify once the tail fills up).
+        pages = range(0) if self._warm else range(start // P, end // P)
         for index, j in enumerate(pages):
             self._acquire_prompt_page(
                 j,
@@ -497,17 +385,25 @@ class RequestKV:
                     self._chunk_segments[layer][1][index],
                 ),
             )
-        tail = end - (end // P) * P
-        if tail:
-            tail_nbytes = sum(
-                self.backend.segment_nbytes(segments[-1])
+        private_tokens = end - start - len(pages) * P
+        if private_tokens:
+            nbytes = sum(
+                self.backend.segment_nbytes(seg)
                 for pair in self._chunk_segments.values()
                 for segments in pair
+                for seg in segments[len(pages) :]
             )
-            self._reserve_tail(tail, tail_nbytes)
+            fp16_nbytes = private_tokens * self.backend.per_token_fp16_nbytes
+            self._unpaged_nbytes += nbytes
+            self._unpaged_fp16_nbytes += fp16_nbytes
+            self.pool.reserve_private(nbytes, fp16_nbytes)
         self.token_ids.extend(self.prompt_ids[start:end])
         self._chunk_bounds = None
         self._chunk_segments = {}
+
+    # A harness patch point (``benchmarks/harness/spans.py`` resolves its
+    # targets through ``owner.__dict__``); delete with ROADMAP 1(b).
+    commit_prompt = commit_chunk
 
     # ------------------------------------------------------------------
     # Decode appends.
@@ -627,14 +523,6 @@ class RequestKV:
     # ------------------------------------------------------------------
     # Layer state: one KVCacheStream per layer, whatever the format.
     # ------------------------------------------------------------------
-    def _encode_prompt_side(self, layer, side, kv):
-        (segments,) = self._encode_pages(layer, (side,), (kv,), 0)
-        # Kept for ``commit_prompt``: these rows came out of the codec, so
-        # the stream adopts them instead of decoding again.
-        decoded = self.backend.codec(layer, side).decode_all(segments)
-        self._prompt_decoded[(layer, side)] = decoded
-        return segments, decoded
-
     def _append_segment(self, layer, k_seg, v_seg):
         """Append one encoded K/V segment pair to the layer state."""
         self.streams[layer].append_compressed(k_seg, v_seg)
@@ -655,19 +543,21 @@ class RequestKV:
 
 
 # The two subclasses differ in name only: ``benchmarks/harness/spans.py``
-# patches these two methods per class through ``owner.__dict__`` (ROADMAP
-# 1(b)), so each class must define them itself.
+# patches these two names per class through ``owner.__dict__``, so each
+# class must define them itself.  Harness patch points; delete the
+# classes, their aliases and ``create_request``'s pick by backend name
+# with ROADMAP 1(b).
 class EccoRequestKV(RequestKV):
     """Ecco-compressed paged KV."""
 
-    _encode_prompt_side = RequestKV._encode_prompt_side
+    _encode_prompt_side = RequestKV._encode_pages
     read = RequestKV.read
 
 
 class Fp16RequestKV(RequestKV):
     """Raw fp16 paged KV — the capacity baseline."""
 
-    _encode_prompt_side = RequestKV._encode_prompt_side
+    _encode_prompt_side = RequestKV._encode_pages
     read = RequestKV.read
 
 
@@ -688,14 +578,10 @@ class _KVBackend:
     def codec(self, layer: int, side: str):
         return self.codecs[layer][0 if side == "keys" else 1]
 
-    def encode_rows(self, layer: int, side: str, rows: np.ndarray):
-        """One segment for a ``(tokens, dim)`` batch of one layer side's
-        rows — one codec call however many requests or pages they span."""
-        return self.codec(layer, side).encode_tokens(rows)
-
     def encode_pair(self, layer: int, keys: np.ndarray, values: np.ndarray):
         """One key and one value segment for a layer's ``(tokens, dim)``
-        rows, both from one call of the layer's pair codec."""
+        rows, both from one call of the layer's pair codec — one call
+        however many requests or pages they span."""
         key_codec, value_codec = self.codecs[layer]
         k_seg, v_seg = key_codec.pair_with(value_codec).encode_sides(
             (keys, values)
@@ -745,7 +631,7 @@ class _KVBackend:
         raise NotImplementedError
 
     def create_request(self, pool, prompt_ids, record_raw=False) -> RequestKV:
-        # Goes with the two name-only subclasses above (ROADMAP 4(b)).
+        # Goes with the two name-only subclasses above (ROADMAP 1(b)).
         kind = EccoRequestKV if self.name == "ecco" else Fp16RequestKV
         return kind(self, pool, prompt_ids, record_raw)
 

@@ -76,7 +76,7 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "prefill-drop-commit-chunk", "drop-release", (), SERVE + "engine.py",
-        "request.kv.commit_chunk()\n            last_logits", "last_logits",
+        "request.kv.commit_chunk()\n        tokens = ", "tokens = ",
     ),
     Mutant(
         "chunk-drop-commit-chunk", "drop-release", (), SERVE + "engine.py",
@@ -97,8 +97,8 @@ MUTANTS: tuple[Mutant, ...] = (
     # -- acquire -> hand-off (LIF001's ground) ----------------------------
     Mutant(
         "prompt-page-drop-append", "drop-handoff", ("LIF001",), SERVE + "storage.py",
-        "        self.pages.append(page)\n\n    def _reserve_tail",
-        "\n    def _reserve_tail",
+        "        self.pages.append(page)\n\n    # ---",
+        "\n    # ---",
     ),
     Mutant(
         "pageify-drop-append", "drop-handoff", ("LIF001",), SERVE + "storage.py",
@@ -298,14 +298,6 @@ MUTANTS: tuple[Mutant, ...] = (
         # Hand request r the segment pair of request R-1-r.
         "step-scatter-misroute", "misroute-slice", (), SERVE + "engine.py",
         "k_parts[r], v_parts[r]", "k_parts[-1 - r], v_parts[-1 - r]",
-    ),
-    Mutant(
-        # Prime the decoded buffer without counting the decode work.
-        "prime-skip-counter", "skip-counter", (), CORE + "kv.py",
-        "        self._store_decoded(side, rows)\n\n    def _truncate_cache",
-        "        self._store_decoded(side, rows)\n"
-        "        self.decoded_tokens[side] -= rows.shape[0]\n\n"
-        "    def _truncate_cache",
     ),
     # -- decoded-cache coherence (no rule claims these) ------------------
     Mutant(

@@ -219,11 +219,12 @@ def test_request_kv_release_double_free_raises(parts):
     backend = Fp16KVBackend(1, 32)
     pool = PagedKVPool(byte_budget=10**6, page_tokens=8)
     kv = backend.create_request(pool, np.arange(11))
-    hook = kv.prefill_hook()
     rng = np.random.default_rng(3)
-    hook("layers.0.k_cache", rng.standard_normal((11, 32)))
-    hook("layers.0.v_cache", rng.standard_normal((11, 32)))
-    kv.commit_prompt()
+    kv.begin_chunk(0, 11)
+    kv.ingest_chunk(
+        0, rng.standard_normal((11, 32)), rng.standard_normal((11, 32))
+    )
+    kv.commit_chunk()
     pages_before = pool.stats["pages_allocated"]
     kv.release()
     assert pool.stats["pages_allocated"] == pages_before + 1  # tail page
@@ -259,18 +260,16 @@ def test_tail_promotion_is_byte_identical_to_fresh_encode(parts, backend_cls):
         )
         for layer in range(num_layers)
     }
-    hook = kv.prefill_hook()
+    kv.begin_chunk(0, T)
     for layer in range(num_layers):
-        hook(f"layers.{layer}.k_cache", raw[layer][0][:T])
-        hook(f"layers.{layer}.v_cache", raw[layer][1][:T])
-    kv.commit_prompt()
+        kv.ingest_chunk(layer, raw[layer][0][:T], raw[layer][1][:T])
+    kv.commit_chunk()
     for step in range(DECODE):
         for layer in range(num_layers):
             k_row, v_row = raw[layer][0][T + step], raw[layer][1][T + step]
             kv.append_token_layer(
                 layer, k_row, v_row,
-                backend.encode_rows(layer, "keys", k_row[None]),
-                backend.encode_rows(layer, "values", v_row[None]),
+                *backend.encode_pair(layer, k_row[None], v_row[None]),
             )
         kv.commit_token(90 + step)
 

@@ -3,9 +3,9 @@
 The engine encodes a decode step's R new key and value rows, and decodes
 what its R requests have not decoded yet of both sides, with one codec
 call per layer (keys and values share a call through the layer's pair
-codec); a prefill chunk is one encode call per layer however many pages
-it spans, and a cold whole prompt one per (layer, side).  Two kinds of
-test hold that down:
+codec); a prefill chunk (a cold whole prompt is one) is one encode call
+per layer however many pages it spans.  Two kinds of test hold that
+down:
 
 * a differential run — the same raw K/V rows driven through
   ``_PoolBatchKV`` R requests at a time and one request at a time must
@@ -66,11 +66,10 @@ def _rows(rng, tokens):
 
 def _whole_prompt(backend, pool, prompt_ids, rows):
     kv = backend.create_request(pool, prompt_ids)
-    hook = kv.prefill_hook()
+    kv.begin_chunk(0, len(prompt_ids))
     for layer in range(LAYERS):
-        hook(f"layers.{layer}.k_cache", rows[layer][0])
-        hook(f"layers.{layer}.v_cache", rows[layer][1])
-    kv.commit_prompt()
+        kv.ingest_chunk(layer, *rows[layer])
+    kv.commit_chunk()
     return kv
 
 
@@ -234,16 +233,16 @@ def test_a_step_calls_the_codec_once_per_layer_side(parts, codec_calls):
     ]
 
     # Step 1 prefills all three, then decodes them together.  A cold
-    # whole-prompt prefill captures one side at a time: one one-side
-    # encode and decode per (layer, side) — 40 tokens are five pages, not
-    # five calls.  The decode step that follows decodes only the three
-    # new tokens: the prompt rows the prefill roundtrip decoded were
-    # handed to the streams, not redone.
+    # whole prompt is one chunk: per layer, one two-side encode of its
+    # rows and one two-side decode as attention reads them back — 40
+    # tokens are five pages, not five calls.  The decode step that
+    # follows decodes only the three new tokens: the prompt rows the
+    # prefill read decoded stay in the streams, not redone.
     engine.step()
     per_prompt = [
-        [(name, 1, n)] * L * 2 for n in prompts for name in ("encode", "decode")
+        [(name, 2, n)] * L for n in prompts for name in ("encode", "decode")
     ]
-    prefill, step = codec_calls[: 3 * 4 * L], codec_calls[3 * 4 * L :]
+    prefill, step = codec_calls[: 3 * 2 * L], codec_calls[3 * 2 * L :]
     assert sorted(prefill) == sorted(sum(per_prompt, []))
     assert sorted(step) == [("decode", 2, 3)] * L + [("encode", 2, 3)] * L
 
@@ -254,7 +253,7 @@ def test_a_step_calls_the_codec_once_per_layer_side(parts, codec_calls):
     engine.step()
     assert sorted(codec_calls) == [("decode", 2, 3)] * L + [("encode", 2, 3)] * L
 
-    # Every token was block-decoded exactly once, primed rows included.
+    # Every token was block-decoded exactly once, prompt rows included.
     for request in requests:
         assert request.kv.decoded_token_counters == {
             side: L * request.kv.num_tokens for side in SIDES
@@ -266,7 +265,6 @@ def test_a_prefill_chunk_calls_the_codec_once_per_layer_side(parts, codec_calls)
     pool = PagedKVPool(byte_budget=10**7, page_tokens=PAGE)
     kv = backend.create_request(pool, np.arange(5 * PAGE))
     rows = _rows(np.random.default_rng(3), 3 * PAGE)
-    kv.begin_ingest()
     kv.begin_chunk(0, 3 * PAGE)
     for layer in range(LAYERS):
         kv.ingest_chunk(layer, *rows[layer])

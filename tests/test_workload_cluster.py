@@ -2,7 +2,7 @@
 
 Chunked prefill is held to bit-exactness at two levels: the storage
 path (page-aligned partial commits must produce byte-identical pages,
-streams and pool accounting vs one whole-prompt commit, on both
+streams and pool accounting vs the whole prompt as one chunk, on both
 backends) and the engine (a chunked run generates the same tokens and
 stores the same KV as an unchunked run, and its decoded KV matches a
 single-stream reference).  The workload layer is held to
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.llm import ProxyModel, calibrate, get_proxy_spec
+from repro.llm.decode import prefill_chunk
 from repro.serve import (
     ClusterRouter,
     PagedKVPool,
@@ -48,9 +49,10 @@ def parts():
 def test_partial_commits_match_whole_prompt_byte_for_byte(
     parts, backend_cls
 ):
-    """Feeding identical raw K/V through page-aligned chunks must leave
-    the request (and the pool) in exactly the state one whole-prompt
-    commit does: same reads, same bytes, same page payloads."""
+    """Feeding identical raw K/V through three page-aligned chunks must
+    leave the request (and the pool) in exactly the state one chunk
+    covering the whole prompt does: same reads, same bytes, same page
+    payloads."""
     spec, model, calib = parts
     num_layers, d = 2, 64
     T, P = 29, 8
@@ -69,22 +71,19 @@ def test_partial_commits_match_whole_prompt_byte_for_byte(
         pool = PagedKVPool(byte_budget=10**7, page_tokens=P)
         return backend.create_request(pool, prompt), pool
 
-    whole, pool_whole = fresh()
-    hook = whole.prefill_hook()
-    for layer in range(num_layers):
-        hook(f"layers.{layer}.k_cache", raw[layer][0])
-        hook(f"layers.{layer}.v_cache", raw[layer][1])
-    whole.commit_prompt()
+    def ingest(kv, bounds):
+        for start, end in bounds:
+            kv.begin_chunk(start, end)
+            for layer in range(num_layers):
+                kv.ingest_chunk(
+                    layer, raw[layer][0][start:end], raw[layer][1][start:end]
+                )
+            kv.commit_chunk()
 
+    whole, pool_whole = fresh()
+    ingest(whole, ((0, T),))
     chunked, pool_chunked = fresh()
-    chunked.begin_ingest()
-    for start, end in ((0, 8), (8, 24), (24, T)):
-        chunked.begin_chunk(start, end)
-        for layer in range(num_layers):
-            chunked.ingest_chunk(
-                layer, raw[layer][0][start:end], raw[layer][1][start:end]
-            )
-        chunked.commit_chunk()
+    ingest(chunked, ((0, 8), (8, 24), (24, T)))
 
     assert chunked.num_tokens == whole.num_tokens == T
     for layer in range(num_layers):
@@ -114,7 +113,6 @@ def test_chunk_bounds_are_validated(parts):
     backend = Fp16KVBackend(1, 32)
     pool = PagedKVPool(byte_budget=10**6, page_tokens=8)
     kv = backend.create_request(pool, np.arange(20))
-    kv.begin_ingest()
     with pytest.raises(ValueError, match="chunk starts at 4"):
         kv.begin_chunk(4, 12)
     with pytest.raises(ValueError, match="neither page-aligned"):
@@ -124,6 +122,58 @@ def test_chunk_bounds_are_validated(parts):
         backend.create_request(pool, np.arange(20)).ingest_chunk(
             0, np.zeros((8, 32)), np.zeros((8, 32))
         )
+
+
+# ----------------------------------------------------------------------
+# The served prefill against the forward the accuracy tables run.
+# ----------------------------------------------------------------------
+
+def _fp16_roundtrip(rows: np.ndarray) -> np.ndarray:
+    return np.asarray(rows, dtype=np.float32).astype(np.float16).astype(
+        np.float32
+    )
+
+
+class _Fp16ChunkKV:
+    """The ``ChunkKV`` protocol over plain per-layer lists: every chunk's
+    rows are stored through the roundtrip the forward's hook applies."""
+
+    def __init__(self):
+        self.rows: dict = {}
+
+    def append(self, layer, keys, values):
+        keys_held, values_held = self.rows.setdefault(layer, ([], []))
+        keys_held.append(_fp16_roundtrip(keys))
+        values_held.append(_fp16_roundtrip(values))
+
+    def read(self, layer):
+        keys, values = self.rows[layer]
+        return np.concatenate(keys), np.concatenate(values)
+
+
+def test_served_prefill_matches_the_accuracy_table_forward(parts):
+    """The server ingests prompts with ``prefill_chunk``; Tables 1, 2 and
+    4 score ``ProxyModel.forward(kv_quant=)``.  Given the same KV
+    roundtrip, the two produce the same logits, whether the prompt is
+    one chunk or two."""
+    spec, model, calib = parts
+    rng = np.random.default_rng(11)
+    T, split = 29, 16
+    prompt = rng.integers(0, spec.vocab_size, size=T)
+    want = model.forward(
+        prompt[None, :], kv_quant=lambda name, kv: _fp16_roundtrip(kv)
+    )[0]
+
+    whole = prefill_chunk(model, prompt, 0, _Fp16ChunkKV())
+    kv = _Fp16ChunkKV()
+    two = np.concatenate([
+        prefill_chunk(model, prompt[:split], 0, kv),
+        prefill_chunk(model, prompt[split:], split, kv),
+    ])
+    for got in (whole, two):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-4
+        assert np.array_equal(got.argmax(axis=-1), want.argmax(axis=-1))
 
 
 # ----------------------------------------------------------------------
@@ -156,11 +206,13 @@ def test_chunked_engine_matches_unchunked_and_reference(parts, storage):
         assert report["finished"] == len(prompts)
         assert report["pool"]["budget_overruns"] == 0
         runs[chunk] = (engine, requests, report)
-    # Chunked == unchunked: same generated tokens, same stored KV.  The
-    # ecco codec's coarse bins absorb the float32 summation-order drift
-    # between batched and chunk-incremental model math, so its stored
-    # blocks match bit for bit; raw fp16 sits on a much finer rounding
-    # grid where single-ULP flips are possible, so it is held to fp16
+    # Chunked == unchunked: same generated tokens, same stored KV.  Both
+    # runs go through ``prefill_chunk``; only where the chunks end
+    # differs, and with it the float32 summation order of the attention
+    # over the stored history (measured max |delta| 2.4e-4 on fp16).  The
+    # ecco codec's coarse bins absorb that drift, so its stored blocks
+    # match bit for bit; raw fp16 sits on a much finer rounding grid
+    # where single-ULP flips are possible, so it is held to fp16
     # resolution instead (the *storage* path is proven byte-identical
     # on both backends in the partial-commit test above).
     for a, b in zip(runs[None][1], runs[8][1]):
