@@ -3,7 +3,7 @@
 from .calibration import ActStats, CalibrationData, calibrate
 from .config import ModelSpec, ProxySpec, get_proxy_spec, get_spec
 from .data import TASK_NAMES, MCItem, SyntheticCorpus
-from .decode import BatchKV, ChunkKV, decode_step, prefill_chunk
+from .decode import ServedKV, decode_step, prefill_chunk
 from .eval import multiple_choice_accuracy, perplexity
 from .model import Param, ProxyModel
 from .quantize import (
@@ -18,9 +18,7 @@ from .train import TrainedModel, get_trained_model, train_proxy
 
 __all__ = [
     "ActStats",
-    "BatchKV",
     "CalibrationData",
-    "ChunkKV",
     "EccoStreamKVQuant",
     "MCItem",
     "ModelSpec",
@@ -29,6 +27,7 @@ __all__ = [
     "ProxyModel",
     "ProxySpec",
     "QuantizedModel",
+    "ServedKV",
     "SyntheticCorpus",
     "TASK_NAMES",
     "TrainedModel",

@@ -42,19 +42,21 @@ def _rmsnorm_backward(dy: np.ndarray, x: np.ndarray, r: np.ndarray) -> np.ndarra
     return dy / r - x * np.sum(dy * x, axis=-1, keepdims=True) / (d * r**3)
 
 
-def _rope_tables(seq_len: int, head_dim: int) -> tuple[np.ndarray, np.ndarray]:
+def _rope_tables(positions: np.ndarray, head_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(T, head_dim // 2) cos/sin tables at absolute ``positions``."""
     half = head_dim // 2
     freqs = 10000.0 ** (-np.arange(half) / half)
-    angles = np.arange(seq_len)[:, None] * freqs[None, :]
+    angles = np.asarray(positions)[:, None] * freqs[None, :]
     return np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32)
 
 
 def _rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Rotate (B, T, H, hd) queries/keys; inverse = negate ``sin``."""
+    """Rotate (..., T, H, hd) queries/keys at the tables' T positions;
+    inverse = negate ``sin``."""
     half = x.shape[-1] // 2
     x1, x2 = x[..., :half], x[..., half:]
-    c = cos[None, :, None, :]
-    s = sin[None, :, None, :]
+    c = cos[:, None, :]
+    s = sin[:, None, :]
     return np.concatenate([x1 * c - x2 * s, x1 * s + x2 * c], axis=-1)
 
 
@@ -164,7 +166,7 @@ class ProxyModel:
         B, T = tokens.shape
         H, hd = spec.n_heads, spec.head_dim
         aq = act_quant if act_quant is not None else (lambda x: x)
-        cos, sin = _rope_tables(T, hd)
+        cos, sin = _rope_tables(np.arange(T), hd)
         mask = np.triu(np.full((T, T), -np.inf, dtype=np.float32), k=1)
 
         x = self.params["embed"].data[tokens]
@@ -252,7 +254,7 @@ class ProxyModel:
         inputs, targets = batch[:, :-1], batch[:, 1:]
         B, T = inputs.shape
         H, hd = spec.n_heads, spec.head_dim
-        cos, sin = _rope_tables(T, hd)
+        cos, sin = _rope_tables(np.arange(T), hd)
         neg_sin = -sin
         mask = np.triu(np.full((T, T), -np.inf, dtype=np.float32), k=1)
         E = self.params["embed"].data

@@ -41,24 +41,31 @@ from .storage import EccoKVBackend, Fp16KVBackend
 __all__ = ["ServingEngine"]
 
 
-class _PoolBatchKV:
-    """Adapter: the running batch's RequestKVs behind the BatchKV protocol.
+class _ServedRequestsKV:
+    """Adapter: requests' RequestKVs behind the served forward's KV
+    protocol (:class:`~repro.llm.decode.ServedKV`).
 
-    The codec is called per step and layer, not per request or side:
-    ``append`` encodes the step's R new key and value rows with one
-    ``backend.encode_pair`` and hands each request its one-token slices;
-    ``read`` decodes every request's not-yet-decoded segments of both
-    sides with one :func:`~repro.core.read_streams` (both storage formats
-    keep a ``KVCacheStream`` per layer).
+    The codec is called per layer, not per request or side: ``read``
+    decodes every request's not-yet-decoded segments of both sides with
+    one :func:`~repro.core.read_streams` (both storage formats keep a
+    ``KVCacheStream`` per layer).  The subclasses store the new rows.
     """
 
     def __init__(self, requests: list[Request]):
         self.kvs = [request.kv for request in requests]
-        #: One backend serves every request of an engine, codecs included.
-        self.backend = self.kvs[0].backend
+
+    def read(self, layer: int):
+        return read_streams([kv.streams[layer] for kv in self.kvs])
+
+
+class _StepKV(_ServedRequestsKV):
+    """A decode step's running batch: ``append`` encodes the step's R new
+    key and value rows with one ``backend.encode_pair`` (one backend
+    serves every request of an engine) and hands each request its
+    one-token slices."""
 
     def append(self, layer: int, keys: np.ndarray, values: np.ndarray) -> None:
-        backend = self.backend
+        backend = self.kvs[0].backend
         ones = (1,) * len(self.kvs)
         k_seg, v_seg = backend.encode_pair(layer, keys, values)
         k_parts = backend.slice_segment(k_seg, ones)
@@ -68,21 +75,12 @@ class _PoolBatchKV:
                 layer, keys[r], values[r], k_parts[r], v_parts[r]
             )
 
-    def read(self, layer: int):
-        return read_streams([kv.streams[layer] for kv in self.kvs])
 
-
-class _ChunkIngestKV:
-    """Adapter: one request's RequestKV behind the ChunkKV protocol."""
-
-    def __init__(self, kv):
-        self.kv = kv
+class _PromptKV(_ServedRequestsKV):
+    """One request mid-prefill: ``append`` ingests a chunk's rows."""
 
     def append(self, layer: int, keys: np.ndarray, values: np.ndarray) -> None:
-        self.kv.ingest_chunk(layer, keys, values)
-
-    def read(self, layer: int):
-        return self.kv.read(layer, "keys"), self.kv.read(layer, "values")
+        self.kvs[0].ingest_chunk(layer, keys, values)
 
 
 class ServingEngine:
@@ -364,10 +362,7 @@ class ServingEngine:
             need = (request.prompt_len + 1) * per_token
             if need > scheduler.admission_headroom(pool) and scheduler.num_active:
                 break
-            if self.prefill_chunk_tokens is not None:
-                self._start_chunked(request)
-            else:
-                tokens += self._prefill(request)
+            tokens += self._start(request)
             if head_stuck:
                 bypassed += 1
                 self.metrics.hol_bypasses += 1
@@ -394,45 +389,25 @@ class ServingEngine:
                 self.metrics.split_tokens_salvaged += request.kv.split_tokens
         return attached
 
-    def _charge_prefill(self, tokens: int) -> None:
-        if self.step_cost is not None and tokens:
-            self.clock.advance(self.step_cost.prefill_s(tokens))
-
-    def _prefill(self, request: Request) -> int:
-        """Admit one request the unchunked way: ingest its prompt as one
-        chunk — the whole prompt on a cold start, only the unmatched
-        suffix when a cached prefix attaches — and emit its first token.
-        Returns the prompt tokens this cost the step."""
-        request.kv = self.backend.create_request(
-            self.pool, request.prompt, record_raw=self.record_reference
-        )
-        attached = self._attach_prefix(request)
-        # An attached history is read straight from the cache; only the
-        # rest of the prompt runs through the model.
-        request.kv.begin_chunk(attached, request.prompt_len)
-        logits = prefill_chunk(
-            self.model,
-            request.prompt[attached:],
-            attached,
-            _ChunkIngestKV(request.kv),
-        )
-        request.kv.commit_chunk()
-        tokens = request.prompt_len - attached
-        request.prefill_pos = request.prompt_len
-        request.metrics.prefill_chunks = 1
-        self.metrics.prefill_forwarded_tokens += tokens
-        self._charge_prefill(tokens)
-        self.scheduler.activate(request, "waiting")
-        self._emit_first_token(request, logits[-1])
-        return tokens
-
-    def _start_chunked(self, request: Request) -> None:
-        """Admit one request into the chunked-prefill queue."""
+    def _start(self, request: Request) -> int:
+        """Admit one fresh request: attach whatever prefix the pool holds
+        (an attached history is read straight from the cache).  A
+        chunked engine queues the rest of the prompt for
+        :meth:`_chunk_work`; an unchunked one ingests it now as one chunk
+        and emits the first token.  Returns the prompt tokens this cost
+        the step."""
         request.kv = self.backend.create_request(
             self.pool, request.prompt, record_raw=self.record_reference
         )
         request.prefill_pos = self._attach_prefix(request)
+        if self.prefill_chunk_tokens is not None:
+            self.scheduler.activate(request, "waiting")
+            return 0
+        tokens = request.prompt_len - request.prefill_pos
+        last_logits = self._run_chunk(request, request.prompt_len)
         self.scheduler.activate(request, "waiting")
+        self._emit_first_token(request, last_logits)
+        return tokens
 
     def _emit_first_token(self, request: Request, last_logits) -> None:
         first = int(np.argmax(last_logits))
@@ -525,18 +500,32 @@ class ServingEngine:
             if stalled:
                 self.metrics.prefill_stalls += 1
                 break
-            start = request.prefill_pos
-            end = start + chunk
-            request.kv.begin_chunk(start, end)
-            logits = prefill_chunk(
-                self.model,
-                request.prompt[start:end],
-                start,
-                _ChunkIngestKV(request.kv),
-            )
-            request.kv.commit_chunk()
-            request.prefill_pos = end
-            request.metrics.prefill_chunks += 1
+            last_logits = self._run_chunk(request, request.prefill_pos + chunk)
+            tokens += chunk
+            if request.prefill_done:
+                self.scheduler.promote(request)
+                self._emit_first_token(request, last_logits)
+        return tokens
+
+    def _run_chunk(self, request: Request, end: int) -> np.ndarray:
+        """Run the prompt from ``request.prefill_pos`` to ``end`` through
+        the model as one chunk over the request's stored KV, store the
+        chunk's KV and count it; returns the chunk's last-row logits.
+
+        A chunked engine also records the chunk (a ``prefill_chunk``
+        instant and the engine's chunk counters); an unchunked one
+        ingests each prompt as a single chunk and records none of that.
+        """
+        start = request.prefill_pos
+        tokens = end - start
+        request.kv.begin_chunk(start, end)
+        logits = prefill_chunk(
+            self.model, request.prompt[start:end], start, _PromptKV([request])
+        )
+        request.kv.commit_chunk()
+        request.prefill_pos = end
+        request.metrics.prefill_chunks += 1
+        if self.prefill_chunk_tokens is not None:
             self.obs.instant(
                 "prefill_chunk",
                 request.request_id,
@@ -545,14 +534,11 @@ class ServingEngine:
                 end=end,
             )
             self.metrics.prefill_chunks += 1
-            self.metrics.chunked_prefill_tokens += chunk
-            self.metrics.prefill_forwarded_tokens += chunk
-            self._charge_prefill(chunk)
-            tokens += chunk
-            if request.prefill_done:
-                self.scheduler.promote(request)
-                self._emit_first_token(request, logits[-1])
-        return tokens
+            self.metrics.chunked_prefill_tokens += tokens
+        self.metrics.prefill_forwarded_tokens += tokens
+        if self.step_cost is not None:
+            self.clock.advance(self.step_cost.prefill_s(tokens))
+        return logits[-1]
 
     def _ensure_decode_capacity(self) -> None:
         """Preempt (youngest first) until this step's KV growth fits.
@@ -649,8 +635,7 @@ class ServingEngine:
 
         token_ids = np.array([r.generated[-1] for r in batch], dtype=np.int64)
         positions = np.array([r.kv.num_tokens for r in batch], dtype=np.int64)
-        batch_kv = _PoolBatchKV(batch)
-        logits = decode_step(self.model, token_ids, positions, batch_kv)
+        logits = decode_step(self.model, token_ids, positions, _StepKV(batch))
         for request in batch:
             request.kv.commit_token(request.generated[-1])
         # Traffic is accounted after commits (so the fp16-equivalent sum

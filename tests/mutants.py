@@ -74,14 +74,19 @@ MUTANTS: tuple[Mutant, ...] = (
         "finish-double-release", "double-release", (), SERVE + "engine.py",
         "        request.kv.release()\n", "{old}{old}",
     ),
+    # Both prompt paths commit through one call in ``_run_chunk``; each
+    # row drops it on one path only (unchunked prefill / chunked prefill).
     Mutant(
         "prefill-drop-commit-chunk", "drop-release", (), SERVE + "engine.py",
-        "request.kv.commit_chunk()\n        tokens = ", "tokens = ",
+        "        request.kv.commit_chunk()\n        request.prefill_pos",
+        "        if self.prefill_chunk_tokens is not None:\n"
+        "            request.kv.commit_chunk()\n        request.prefill_pos",
     ),
     Mutant(
         "chunk-drop-commit-chunk", "drop-release", (), SERVE + "engine.py",
-        "request.kv.commit_chunk()\n            request.prefill_pos",
-        "request.prefill_pos",
+        "        request.kv.commit_chunk()\n        request.prefill_pos",
+        "        if self.prefill_chunk_tokens is None:\n"
+        "            request.kv.commit_chunk()\n        request.prefill_pos",
     ),
     Mutant(
         "swapin-drop-swap-private-in", "drop-release", (), SERVE + "storage.py",

@@ -8,7 +8,7 @@ per layer however many pages it spans.  Two kinds of test hold that
 down:
 
 * a differential run — the same raw K/V rows driven through
-  ``_PoolBatchKV`` R requests at a time and one request at a time must
+  ``_StepKV`` R requests at a time and one request at a time must
   leave every request, and the pool, in the same state after every step;
 * call-count pins — ``KVCacheCodec.encode_sides``/``decode_sides`` (the
   entry point of every Ecco codec call, one side or both) are wrapped
@@ -24,7 +24,7 @@ import pytest
 from repro.core import KVCacheCodec
 from repro.llm import ProxyModel, calibrate, get_proxy_spec
 from repro.serve import PagedKVPool, ServingEngine
-from repro.serve.engine import _PoolBatchKV
+from repro.serve.engine import _StepKV
 from repro.serve.storage import EccoKVBackend, Fp16KVBackend
 
 LAYERS, DIM, PAGE = 2, 64, 8
@@ -82,7 +82,7 @@ def _stored(kv, layer, side):
 
 def _drive(backend, num_requests, batched, data):
     """Prefill ``num_requests`` ragged requests into one pool, then run
-    STEPS decode steps — all running requests through one ``_PoolBatchKV``
+    STEPS decode steps — all running requests through one ``_StepKV``
     when ``batched``, each through an adapter of its own otherwise.
     Returns the per-step snapshots the two runs must agree on."""
     pool = PagedKVPool(byte_budget=10**7, page_tokens=PAGE)
@@ -117,7 +117,7 @@ def _drive(backend, num_requests, batched, data):
         reads = {}
         for layer in range(LAYERS):
             for group in groups:
-                adapter = _PoolBatchKV(
+                adapter = _StepKV(
                     [SimpleNamespace(kv=kvs[r]) for r in group]
                 )
                 adapter.append(

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.llm import ProxyModel, calibrate, get_proxy_spec
-from repro.llm.decode import prefill_chunk
+from repro.llm.decode import decode_step, prefill_chunk
 from repro.serve import (
     ClusterRouter,
     PagedKVPool,
@@ -134,38 +134,52 @@ def _fp16_roundtrip(rows: np.ndarray) -> np.ndarray:
     )
 
 
-class _Fp16ChunkKV:
-    """The ``ChunkKV`` protocol over plain per-layer lists: every chunk's
-    rows are stored through the roundtrip the forward's hook applies."""
+class _Fp16KV:
+    """The served forward's KV protocol over plain per-request, per-layer
+    lists: every row is stored through the roundtrip the forward's hook
+    applies.  ``serving`` names the requests the next call advances, in
+    row order, each with an equal share of the rows (a prefill chunk is
+    one request, a decode step one row per request)."""
 
-    def __init__(self):
-        self.rows: dict = {}
+    def __init__(self, num_requests: int = 1):
+        self.held = [{} for _ in range(num_requests)]
+        self.serving = [0]
 
     def append(self, layer, keys, values):
-        keys_held, values_held = self.rows.setdefault(layer, ([], []))
-        keys_held.append(_fp16_roundtrip(keys))
-        values_held.append(_fp16_roundtrip(values))
+        parts = len(self.serving)
+        for r, k, v in zip(
+            self.serving, np.split(keys, parts), np.split(values, parts)
+        ):
+            keys_held, values_held = self.held[r].setdefault(layer, ([], []))
+            keys_held.append(_fp16_roundtrip(k))
+            values_held.append(_fp16_roundtrip(v))
 
     def read(self, layer):
-        keys, values = self.rows[layer]
-        return np.concatenate(keys), np.concatenate(values)
+        keys = [np.concatenate(self.held[r][layer][0]) for r in self.serving]
+        values = [np.concatenate(self.held[r][layer][1]) for r in self.serving]
+        return keys, values
+
+
+def _fp16_forward(model, tokens):
+    return model.forward(
+        tokens[None, :], kv_quant=lambda name, kv: _fp16_roundtrip(kv)
+    )[0]
 
 
 def test_served_prefill_matches_the_accuracy_table_forward(parts):
-    """The server ingests prompts with ``prefill_chunk``; Tables 1, 2 and
-    4 score ``ProxyModel.forward(kv_quant=)``.  Given the same KV
-    roundtrip, the two produce the same logits, whether the prompt is
-    one chunk or two."""
+    """The server ingests prompts with ``prefill_chunk`` and decodes with
+    ``decode_step``; Tables 1, 2 and 4 score
+    ``ProxyModel.forward(kv_quant=)``.  Given the same KV roundtrip, they
+    produce the same logits: a prompt as one chunk or two, and a decode
+    batch of ragged requests against each one's last position."""
     spec, model, calib = parts
     rng = np.random.default_rng(11)
     T, split = 29, 16
     prompt = rng.integers(0, spec.vocab_size, size=T)
-    want = model.forward(
-        prompt[None, :], kv_quant=lambda name, kv: _fp16_roundtrip(kv)
-    )[0]
+    want = _fp16_forward(model, prompt)
 
-    whole = prefill_chunk(model, prompt, 0, _Fp16ChunkKV())
-    kv = _Fp16ChunkKV()
+    whole = prefill_chunk(model, prompt, 0, _Fp16KV())
+    kv = _Fp16KV()
     two = np.concatenate([
         prefill_chunk(model, prompt[:split], 0, kv),
         prefill_chunk(model, prompt[split:], split, kv),
@@ -174,6 +188,73 @@ def test_served_prefill_matches_the_accuracy_table_forward(parts):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) < 1e-4
         assert np.array_equal(got.argmax(axis=-1), want.argmax(axis=-1))
+
+    # Three prompts of different lengths, prefilled up to their
+    # second-to-last token, then their last tokens in one decode step.
+    prompts = [prompt, prompt[:11], rng.integers(0, spec.vocab_size, size=20)]
+    kv = _Fp16KV(len(prompts))
+    for r, tokens in enumerate(prompts):
+        kv.serving = [r]
+        prefill_chunk(model, tokens[:-1], 0, kv)
+    kv.serving = list(range(len(prompts)))
+    got = decode_step(
+        model,
+        np.array([tokens[-1] for tokens in prompts]),
+        np.array([len(tokens) - 1 for tokens in prompts]),
+        kv,
+    )
+    for r, tokens in enumerate(prompts):
+        want = _fp16_forward(model, tokens)[-1]
+        assert np.max(np.abs(got[r] - want)) < 1e-4
+        assert got[r].argmax() == want.argmax()
+
+
+class _StaleKV(_Fp16KV):
+    """The protocol broken once ``stale`` is set: ``read`` leaves out the
+    rows just appended."""
+
+    stale = False
+
+    def read(self, layer):
+        if not self.stale:
+            return super().read(layer)
+        return tuple(
+            [
+                np.concatenate(blocks[:-1] + [blocks[-1][:0]])
+                for blocks in (self.held[r][layer][side] for r in self.serving)
+            ]
+            for side in (0, 1)
+        )
+
+
+def test_a_history_of_the_wrong_length_is_a_value_error(parts):
+    """Each request's read must run to its last position.  One that
+    leaves out the rows just appended is a ValueError naming the
+    mismatch — not a numpy broadcast error, a silent broadcast over a
+    one-row history, or attention over the wrong rows."""
+    spec, model, calib = parts
+    prompt = np.arange(9) % spec.vocab_size
+    mismatch = "rows end at position"
+
+    cold = _StaleKV()
+    cold.stale = True
+    with pytest.raises(ValueError, match=mismatch):
+        prefill_chunk(model, prompt, 0, cold)
+
+    one_row = _StaleKV()
+    prefill_chunk(model, prompt[:1], 0, one_row)
+    one_row.stale = True
+    with pytest.raises(ValueError, match=mismatch):
+        prefill_chunk(model, prompt[1:], 1, one_row)
+
+    kv = _StaleKV(2)
+    for r in range(2):
+        kv.serving = [r]
+        prefill_chunk(model, prompt[: 5 + r], 0, kv)
+    kv.serving = [0, 1]
+    kv.stale = True
+    with pytest.raises(ValueError, match=mismatch):
+        decode_step(model, prompt[:2], np.array([5, 6]), kv)
 
 
 # ----------------------------------------------------------------------
