@@ -34,11 +34,11 @@ def _evaluate_model(name: str) -> dict[str, float]:
 
 @pytest.fixture(scope="module")
 def table1():
-    cached = load_cached("table1_perplexity_v6")
+    cached = load_cached("table1_perplexity_v7")
     if cached is not None:
         return cached
     data = {name: _evaluate_model(name) for name in MODELS}
-    store_cached("table1_perplexity_v6", data)
+    store_cached("table1_perplexity_v7", data)
     return data
 
 

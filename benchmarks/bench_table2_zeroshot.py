@@ -23,7 +23,7 @@ ITEMS_PER_TASK = 60
 
 @pytest.fixture(scope="module")
 def table2(proxy_medium, calib_medium):
-    cached = load_cached("table2_zeroshot_v6")
+    cached = load_cached("table2_zeroshot_v7")
     if cached is not None and all(scheme in cached for scheme in SCHEMES):
         return cached
 
@@ -39,7 +39,7 @@ def table2(proxy_medium, calib_medium):
             task: multiple_choice_accuracy(model, items[task], **qm.hooks())
             for task in TASK_NAMES
         }
-    store_cached("table2_zeroshot_v6", data)
+    store_cached("table2_zeroshot_v7", data)
     return data
 
 

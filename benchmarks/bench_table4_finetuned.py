@@ -22,7 +22,7 @@ SCHEMES = ["fp16", "awq-w4", "ecco-w4", "qoq-w4a8kv4", "ecco-w4a8kv4"]
 
 @pytest.fixture(scope="module")
 def table4():
-    cached = load_cached("table4_finetuned_v6")
+    cached = load_cached("table4_finetuned_v7")
     if cached is not None:
         return cached
 
@@ -36,7 +36,7 @@ def table4():
     for scheme in SCHEMES:
         qm = apply_named_scheme(trained.model, scheme, calib)
         data[scheme] = multiple_choice_accuracy(trained.model, items, **qm.hooks())
-    store_cached("table4_finetuned_v6", data)
+    store_cached("table4_finetuned_v7", data)
     return data
 
 

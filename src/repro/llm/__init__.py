@@ -8,7 +8,6 @@ from .eval import multiple_choice_accuracy, perplexity
 from .model import Param, ProxyModel
 from .quantize import (
     NAMED_SCHEMES,
-    EccoStreamKVQuant,
     QuantizedModel,
     apply_named_scheme,
     fit_kv_codec,
@@ -19,7 +18,6 @@ from .train import TrainedModel, get_trained_model, train_proxy
 __all__ = [
     "ActStats",
     "CalibrationData",
-    "EccoStreamKVQuant",
     "MCItem",
     "ModelSpec",
     "NAMED_SCHEMES",

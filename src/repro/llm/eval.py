@@ -14,25 +14,6 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _collect_kv_stats(kv_quant, kv_stats: dict | None) -> None:
-    """Surface a streaming KV hook's codec counters to the caller.
-
-    Hooks built on the real block codec (``EccoStreamKVQuant``) expose a
-    ``stats`` dict of tokens and byte counts; after an evaluation pass the
-    caller-provided ``kv_stats`` dict receives a copy plus the achieved
-    compression ratio.  Hooks without ``stats`` leave the dict untouched.
-    """
-    if kv_stats is None:
-        return
-    stats = getattr(kv_quant, "stats", None)
-    if not isinstance(stats, dict):
-        return
-    kv_stats.update(stats)
-    compressed = stats.get("compressed_nbytes", 0)
-    if compressed:
-        kv_stats["compression_ratio"] = stats["original_nbytes"] / compressed
-
-
 def perplexity(
     model: ProxyModel,
     token_stream: np.ndarray,
@@ -41,13 +22,8 @@ def perplexity(
     weights: dict | None = None,
     act_quant=None,
     kv_quant=None,
-    kv_stats: dict | None = None,
 ) -> float:
-    """Sliding-window next-token perplexity of a flat token stream.
-
-    Pass ``kv_stats={}`` to receive the KV codec's token/byte counters
-    when ``kv_quant`` is a streaming hook (see :func:`_collect_kv_stats`).
-    """
+    """Sliding-window next-token perplexity of a flat token stream."""
     stream = np.asarray(token_stream, dtype=np.int64)
     window = seq_len + 1
     num_rows = stream.size // window
@@ -66,7 +42,6 @@ def perplexity(
         )
         total_nll += float(-logp[b_idx, t_idx, targets].sum())
         total_tokens += targets.size
-    _collect_kv_stats(kv_quant, kv_stats)
     return float(np.exp(total_nll / max(total_tokens, 1)))
 
 
@@ -92,7 +67,6 @@ def multiple_choice_accuracy(
     weights: dict | None = None,
     act_quant=None,
     kv_quant=None,
-    kv_stats: dict | None = None,
 ) -> float:
     """Fraction of items whose correct choice scores highest."""
     hooks = {"weights": weights, "act_quant": act_quant, "kv_quant": kv_quant}
@@ -104,5 +78,4 @@ def multiple_choice_accuracy(
         ]
         if int(np.argmax(scores)) == item.answer:
             correct += 1
-    _collect_kv_stats(kv_quant, kv_stats)
     return correct / max(len(items), 1)

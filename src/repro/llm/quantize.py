@@ -28,16 +28,17 @@ from .calibration import CalibrationData
 from .model import ProxyModel
 
 __all__ = ["QuantizedModel", "quantize_model", "apply_named_scheme",
-           "NAMED_SCHEMES", "EccoStreamKVQuant", "fit_kv_codec"]
+           "NAMED_SCHEMES", "fit_kv_codec"]
 
 _CALIB_GROUPS = 384
 
 
 def fit_kv_codec(sample: np.ndarray) -> KVCacheCodec:
     """The one shared recipe for fitting a streaming KV codec from a
-    calibration sample.  The evaluation hook (:class:`EccoStreamKVQuant`)
-    and the serving backend (``repro.serve.storage.EccoKVBackend``) both
-    build their codecs here, so their compressed bytes always agree."""
+    calibration sample.  The accuracy tables' Ecco KV hook
+    (kv method ``"ecco"``) and the serving backend
+    (``repro.serve.storage.EccoKVBackend``) both build their codecs here,
+    so their compressed bytes always agree."""
     meta = fit_tensor_meta(
         sample, config=KV_CONFIG, max_calibration_groups=_CALIB_GROUPS
     )
@@ -193,54 +194,21 @@ def _quarot_kv_quant(rot_cache: dict, bits: int = 4):
     return fn
 
 
-class EccoStreamKVQuant:
-    """Bit-exact streaming Ecco KV hook: the decode-loop pipeline in eval.
-
-    Unlike :func:`_ecco_kv_quant` (which simulates the roundtrip with the
-    vectorized fast path), this hook pushes every layer's K/V tensor
-    through the real block codec — one batched ``encode_tokens`` planning
-    pass and one vectorized ``decode_tokens`` per call — and keeps the
-    per-tensor codec (with its cached decode tables) across calls.  The
-    ``stats`` dict it maintains feeds ``kv_stats`` in the eval functions.
-    """
-
-    def __init__(self, calib: CalibrationData):
-        self._calib = calib
-        self._codecs: dict[str, KVCacheCodec] = {}
-        self.stats = {"tokens": 0, "original_nbytes": 0, "compressed_nbytes": 0}
-
-    def _codec(self, name: str, kv: np.ndarray) -> KVCacheCodec:
-        codec = self._codecs.get(name)
-        if codec is None:
-            sample = self._calib.kv_samples.get(name, kv)
-            codec = fit_kv_codec(sample)
-            self._codecs[name] = codec
-        return codec
-
-    def __call__(self, name: str, kv: np.ndarray) -> np.ndarray:
-        codec = self._codec(name, kv)
-        compressed = codec.encode_tokens(kv)
-        out = codec.decode_tokens(compressed)
-        self.stats["tokens"] += int(kv.shape[0])
-        self.stats["original_nbytes"] += int(kv.size) * 2
-        self.stats["compressed_nbytes"] += int(compressed.nbytes)
-        return out.astype(np.float32)
-
-
 def _ecco_kv_quant(calib: CalibrationData):
-    """Online Ecco KV compression: per-tensor metadata from calibration,
-    min/max pattern selection at runtime (the hardware path)."""
-    meta_cache: dict = {}
+    """Online Ecco KV compression, exactly as the server stores it: one
+    codec per tensor fitted from its calibration sample (the recipe
+    ``repro.serve.storage.EccoKVBackend`` uses), each token row coded in
+    its own groups with min/max pattern selection at runtime (the hardware
+    path).  The hook returns what a store of ``kv`` reads back as — the
+    same roundtrip ``EccoKVBackend.roundtrip_rows`` audits serving with."""
+    codecs: dict[str, KVCacheCodec] = {}
 
     def fn(name: str, kv: np.ndarray) -> np.ndarray:
-        meta = meta_cache.get(name)
-        if meta is None:
-            sample = calib.kv_samples.get(name, kv)
-            meta = fit_tensor_meta(
-                sample, config=KV_CONFIG, max_calibration_groups=_CALIB_GROUPS
-            )
-            meta_cache[name] = meta
-        return simulate_roundtrip(meta, kv).values
+        codec = codecs.get(name)
+        if codec is None:
+            codec = fit_kv_codec(calib.kv_samples.get(name, kv))
+            codecs[name] = codec
+        return codec.decode_tokens(codec.encode_tokens(kv))
 
     return fn
 
@@ -280,7 +248,9 @@ def _weights_for(model: ProxyModel, calib: CalibrationData, method: str) -> dict
 
 
 def _build_hooks(act_bits, kv_method, calib: CalibrationData) -> tuple:
-    """Shared act/kv hook dispatch for both quantization entry points."""
+    """The ``(act_quant, kv_quant)`` hooks of one recipe: ``act_bits`` is
+    ``None``, an integer width or ``"ecco"``; ``kv_method`` is ``None``,
+    ``"rtn"``, ``"quarot"`` or ``"ecco"``."""
     if act_bits == "ecco":
         act_quant = _ecco_act_quant()
     elif act_bits is not None:
@@ -293,8 +263,6 @@ def _build_hooks(act_bits, kv_method, calib: CalibrationData) -> tuple:
         kv_quant = _quarot_kv_quant({})
     elif kv_method == "ecco":
         kv_quant = _ecco_kv_quant(calib)
-    elif kv_method == "ecco-stream":
-        kv_quant = EccoStreamKVQuant(calib)
     elif kv_method is None:
         kv_quant = None
     else:
@@ -318,7 +286,8 @@ def quantize_model(
     )
 
 
-#: scheme name -> (weight method, act bits, kv method, ecco act codec?)
+#: scheme name -> (weight method, act bits, kv method), the arguments of
+#: :func:`quantize_model`; ``None`` is the unquantized model.
 NAMED_SCHEMES = {
     "fp16": None,
     "gptq-r-w4": ("gptq", None, None),
@@ -330,10 +299,6 @@ NAMED_SCHEMES = {
     "quarot-w4a8kv4": ("quarot", 8, "quarot"),
     "qoq-w4a8kv4": ("qoq", 8, "rtn"),
     "ecco-w4a8kv4": ("ecco", "ecco", "ecco"),
-    # Same accuracy point as ecco-w4a8kv4, but the KV path runs the real
-    # block codec (batched encode + cached-table decode), not the fast-path
-    # simulation — use it to validate the streaming pipeline end to end.
-    "ecco-stream-w4a8kv4": ("ecco", "ecco", "ecco-stream"),
     "atom-w4a4": ("atom", 4, "rtn"),
 }
 
@@ -349,9 +314,6 @@ def apply_named_scheme(
     recipe = NAMED_SCHEMES[scheme]
     if recipe is None:
         return QuantizedModel(name="fp16")
-    weight_method, act_bits, kv_method = recipe
-    weights = _weights_for(model, calib, weight_method)
-    act_quant, kv_quant = _build_hooks(act_bits, kv_method, calib)
-    return QuantizedModel(
-        name=scheme, weights=weights, act_quant=act_quant, kv_quant=kv_quant
-    )
+    quantized = quantize_model(model, calib, *recipe)
+    quantized.name = scheme
+    return quantized

@@ -655,7 +655,7 @@ class EccoKVBackend(_KVBackend):
                         f"{side}; run repro.llm.calibrate first"
                     )
                 # The shared eval-layer recipe: serving codecs byte-match
-                # the ecco-stream evaluation hook's by construction.
+                # the accuracy tables' Ecco KV hook by construction.
                 pair.append(fit_kv_codec(sample))
             self.codecs.append(tuple(pair))
         groups_per_token = -(-self.d_model // KV_CONFIG.group_size)

@@ -304,26 +304,37 @@ def test_stream_reads_are_2d_and_decode_only_new_tokens(kv_codec):
     assert stream.decoded_tokens["keys"] == 24
 
 
-def test_stream_kv_quant_hook_reports_stats():
-    """The eval wiring: an ecco-stream kv_quant hook runs the real block
-    codec inside the model forward and surfaces its counters."""
-    from repro.llm import CalibrationData, EccoStreamKVQuant, ProxySpec, ProxyModel
+@pytest.mark.parametrize("d", [64, 96, 128, 200])
+def test_ecco_kv_hook_is_the_served_codec_roundtrip(d):
+    """The accuracy tables' Ecco KV hook (kv method ``"ecco"``) reads a
+    tensor back exactly as the served cache stores it: each token row in
+    its own groups through the codec ``fit_kv_codec`` fits from the
+    calibration sample — also at widths whose groups would straddle two
+    rows of the flattened tensor — and it runs inside a model forward."""
+    from repro.llm import (
+        ProxyModel, ProxySpec, calibrate, fit_kv_codec, quantize_model,
+    )
     from repro.llm.eval import perplexity
 
     spec = ProxySpec(
-        name="t", num_layers=1, d_model=32, n_heads=2, ffn_dim=64,
+        name="t", num_layers=1, d_model=d, n_heads=2, ffn_dim=64,
         vocab_size=17, seq_len=8,
     )
     model = ProxyModel(spec, seed=0)
-    hook = EccoStreamKVQuant(CalibrationData())
-    rng = np.random.default_rng(0)
-    stream_tokens = rng.integers(0, 17, size=9 * 4)
-    kv_stats: dict = {}
+    rng = np.random.default_rng(d)
+    calib = calibrate(model, rng.integers(0, 17, size=(6, 9)))
+    sample = calib.kv_samples["layers.0.k_cache"]
+    assert sample.shape[1] == d
+    hook = quantize_model(
+        model, calib, weight_method="rtn", kv_method="ecco"
+    ).kv_quant
+
+    rows = (rng.standard_normal((11, d)) * sample.std()).astype(np.float32)
+    codec = fit_kv_codec(sample)
+    want = codec.decode_tokens(codec.encode_tokens(rows))
+    assert np.array_equal(hook("layers.0.k_cache", rows), want)
+
     ppl = perplexity(
-        model, stream_tokens, seq_len=8, kv_quant=hook, kv_stats=kv_stats
+        model, rng.integers(0, 17, size=9 * 4), seq_len=8, kv_quant=hook
     )
     assert np.isfinite(ppl)
-    assert kv_stats["tokens"] > 0
-    assert kv_stats["compression_ratio"] == pytest.approx(
-        kv_stats["original_nbytes"] / kv_stats["compressed_nbytes"]
-    )

@@ -10,10 +10,12 @@ reproducibility and its advertised sharing structure; the cluster to
 prefix-affinity routing and faithful metric aggregation.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.llm import ProxyModel, calibrate, get_proxy_spec
+from repro.llm import ProxyModel, calibrate, get_proxy_spec, quantize_model
 from repro.llm.decode import decode_step, prefill_chunk
 from repro.serve import (
     ClusterRouter,
@@ -29,6 +31,7 @@ from repro.serve import (
     poisson_arrivals,
     replay_trace,
 )
+from repro.serve.engine import _PromptKV
 from repro.serve.storage import EccoKVBackend, Fp16KVBackend
 
 
@@ -207,6 +210,33 @@ def test_served_prefill_matches_the_accuracy_table_forward(parts):
         want = _fp16_forward(model, tokens)[-1]
         assert np.max(np.abs(got[r] - want)) < 1e-4
         assert got[r].argmax() == want.argmax()
+
+
+@pytest.mark.parametrize("T", [29, 40])
+def test_served_ecco_prefill_matches_the_accuracy_table_forward(parts, T):
+    """The Ecco case: a prompt ingested into the served Ecco store scores
+    the logits the accuracy tables' forward scores under their ``"ecco"``
+    KV hook, because both store each token row through one per-tensor
+    codec roundtrip.  The served rows differ from the forward's only in
+    float32 summation order, which can still land a group scale one step
+    apart (at T = 29 one layer-1 value row does, and a logit moves by
+    about 8e-5), which the bound allows."""
+    spec, model, calib = parts
+    prompt = np.random.default_rng(T).integers(0, spec.vocab_size, size=T)
+    backend = EccoKVBackend(spec.num_layers, spec.d_model, calib)
+    pool = PagedKVPool(byte_budget=10**7, page_tokens=8)
+    kv = backend.create_request(pool, prompt)
+    kv.begin_chunk(0, T)
+    got = prefill_chunk(model, prompt, 0, _PromptKV([SimpleNamespace(kv=kv)]))
+    kv.commit_chunk()
+
+    hook = quantize_model(
+        model, calib, weight_method="rtn", kv_method="ecco"
+    ).kv_quant
+    want = model.forward(prompt[None], kv_quant=hook)[0]
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-4
+    assert np.array_equal(got.argmax(axis=-1), want.argmax(axis=-1))
 
 
 class _StaleKV(_Fp16KV):
